@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .halfspace import Halfspace, Schedule, ScheduleKind
-from .series import ConvergenceRecord, ConvergenceSeries
+from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
 from .step1d import (
     StepFunction,
     deviation_measure,
@@ -140,16 +140,6 @@ class InvariantViolation(RuntimeError):
     """Norm constancy or weighted-mass monotonicity failed during a run."""
 
 
-def _record(n, current, target, p, eps, mass):
-    return ConvergenceRecord(
-        n=n,
-        lp_error=lp_distance(current, target, p),
-        weighted_mass=mass,
-        sup_error=sup_distance(current, target),
-        deviation_measure=deviation_measure(current, target, eps),
-    )
-
-
 def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
                     n_max: int = 60, p: float = 1.0,
                     weight: RadialWeight | None = None, eps: float = 0.01,
@@ -163,8 +153,6 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     state equals the rearrangement exactly it is invariant under every
     remaining halfspace and the loop short-circuits.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     if order not in ("forward", "reversed"):
         raise ValueError("order must be 'forward' or 'reversed'")
     if schedule is None:
@@ -176,29 +164,26 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     halfspaces = schedule.first(n_max)
     target = rearrange(u)
     norm0 = lp_norm(u, p)
-    mass = weighted_mass(u, weight)
-    records = [_record(0, u, target, p, eps, mass)]
-    current = u
-    converged = current == target
-    for n in range(1, n_max + 1):
-        if not converged:
-            prefix = halfspaces[:n]
-            if order == "reversed":
-                prefix = prefix[::-1]
-            for h in prefix:
-                current = polarize(current, h)
-            converged = current == target
-            new_mass = weighted_mass(current, weight)
-            if check_invariants:
-                if abs(lp_norm(current, p) - norm0) > INVARIANT_TOL:
-                    raise InvariantViolation(
-                        f"L^{p} norm drifted at outer step {n}")
-                if new_mass < mass - INVARIANT_TOL:
-                    raise InvariantViolation(
-                        f"weighted mass decreased at outer step {n}")
-            mass = new_mass
-        records.append(_record(n, current, target, p, eps, mass))
-    return ConvergenceSeries(tuple(records))
+
+    def record(n, current, previous):
+        mass = weighted_mass(current, weight)
+        if previous is not None and check_invariants:
+            if abs(lp_norm(current, p) - norm0) > INVARIANT_TOL:
+                raise InvariantViolation(
+                    f"L^{p} norm drifted at outer step {n}")
+            if mass < previous.weighted_mass - INVARIANT_TOL:
+                raise InvariantViolation(
+                    f"weighted mass decreased at outer step {n}")
+        return ConvergenceRecord(
+            n=n,
+            lp_error=lp_distance(current, target, p),
+            weighted_mass=mass,
+            sup_error=sup_distance(current, target),
+            deviation_measure=deviation_measure(current, target, eps),
+        )
+
+    return _triangular_scheme(u, halfspaces, n_max, polarize, record,
+                              target=target, reverse=order == "reversed")
 
 
 def converge_restricted(u: StepFunction, rho: float = 0.1, n_max: int = 200,

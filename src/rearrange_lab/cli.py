@@ -145,8 +145,13 @@ def _case_contraction(rng):
     u = generators.random_step_function(rng)
     v = generators.random_step_function(rng)
     for p in (1.0, 2.0, 3.0):
-        if analysis.contraction_gap(u, v, p) < -1e-12:
-            return f"contraction gap negative at p={p}:\n{step1d.dumps(u)}{step1d.dumps(v)}"
+        gap = analysis.contraction_gap(u, v, p)
+        # gap = d - d* for distances d, d* that reach ~1e4 at p=3, where one
+        # rounding step is ~1e-12: the tolerance scales with max(d, d*).
+        if gap < -1e-12:
+            d = step1d.lp_distance_pow(u, v, p)
+            if gap < -1e-12 * max(1.0, d, d - gap):
+                return f"contraction gap negative at p={p}:\n{step1d.dumps(u)}{step1d.dumps(v)}"
     return None
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError
 from .halfspace import Halfspace
-from .series import ConvergenceRecord, ConvergenceSeries
+from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
 
 _SNAP_TOL = 1e-9   # cells; interpolation snaps to centers this close
 
@@ -332,23 +332,15 @@ def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
     """Triangular scheme over a cyclic list of lattice hyperplanes and
     Steiner axes; records the distance to rearrange_grid(u) per outer step
     (row n=0 is the starting point)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     steps = list(steps)
     if not steps:
         raise ValueError("need at least one step")
     target = rearrange_grid(u)
-    records = [_grid_record(0, u, target, p, eps)]
-    current = u
-    for n in range(1, n_max + 1):
-        for k in range(n):
-            step = steps[k % len(steps)]
-            if isinstance(step, Axis):
-                current = steiner_rows(current, step)
-            else:
-                current = polarize_grid_exact(current, step)
-        records.append(_grid_record(n, current, target, p, eps))
-    return ConvergenceSeries(tuple(records))
+    return _triangular_scheme(
+        u, steps, n_max,
+        lambda state, step: (steiner_rows if isinstance(step, Axis)
+                             else polarize_grid_exact)(state, step),
+        lambda n, state, _: _grid_record(n, state, target, p, eps))
 
 
 def _grid_record(n, current, target, p, eps):

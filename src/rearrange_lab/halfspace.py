@@ -43,10 +43,17 @@ class Halfspace:
         n = tuple(float(c) for c in self.normal)
         if len(n) not in (1, 2):
             raise ValueError(f"halfspace dimension must be 1 or 2, got {len(n)}")
+        offset = float(self.offset)
+        # A NaN normal passes the unit-norm comparison below, and a
+        # non-finite offset or normal makes polarization drop every piece.
+        if not all(map(math.isfinite, (*n, offset))):
+            raise ValueError(f"normal and offset must be finite, got {n}, {offset}")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError(f"angle must be finite, got {self.theta}")
         if abs(math.hypot(*n) - 1.0) > _UNIT_TOL:
             raise ValueError(f"normal must be a unit vector, got {n}")
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def line(cls, sign: float, offset: float) -> "Halfspace":

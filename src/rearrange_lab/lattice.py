@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ParseError
-from .series import ConvergenceRecord, ConvergenceSeries
+from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
 
 
 def rank(x: int) -> int:
@@ -193,20 +193,13 @@ def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
     """Triangular scheme on Z: at outer step n, polarize by the first n
     involution centers in order.  Records the distance to the spiral
     rearrangement of u; row n=0 is the starting point."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     centers = list(centers)
     if len(centers) < n_max:
         raise ValueError("need at least n_max involution centers")
     target = rearrange_lattice(u)
-    records = [_lattice_record(0, u, target, p, eps)]
-    current = u
-    for n in range(1, n_max + 1):
-        if current != target:
-            for c in centers[:n]:
-                current = polarize_involution(current, c)
-        records.append(_lattice_record(n, current, target, p, eps))
-    return ConvergenceSeries(tuple(records))
+    return _triangular_scheme(
+        u, centers, n_max, polarize_involution,
+        lambda n, state, _: _lattice_record(n, state, target, p, eps), target)
 
 
 def _lattice_record(n, current, target, p, eps):

@@ -1,4 +1,5 @@
-"""Per-iteration convergence records shared by the three engines.
+"""Per-iteration convergence records and the triangular-scheme driver
+shared by the three engines.
 
 CSV layout: header ``n,lp_error,weighted_mass,sup_error,deviation_measure``,
 one row per recorded iteration, 17-significant-digit decimals.
@@ -6,7 +7,7 @@ one row per recorded iteration, 17-significant-digit decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ParseError
 
@@ -87,3 +88,34 @@ class ConvergenceSeries:
     def read_csv(cls, path) -> "ConvergenceSeries":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.loads(fh.read())
+
+
+def _triangular_scheme(start, steps, n_max, apply, record, target=None,
+                       reverse=False) -> ConvergenceSeries:
+    """Triangular scheme: outer step n applies steps[k % len(steps)] for
+    k = 0 .. n-1 (n-1 .. 0 if reverse), then appends record(n, state,
+    previous record).  apply must return its input object when it changes
+    nothing.  An index seen to do so on the current state is skipped until
+    the state changes, and an outer step that keeps the identical state
+    repeats the previous record with the new n; both give the rows of the
+    naive loop.  Once the state equals target, no step is applied."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    records = [record(0, start, None)]
+    current, noop = start, set()
+    done = target is not None and current == target
+    for n in range(1, n_max + 1):
+        before = current
+        for k in range(n) if not done else ():
+            k = (n - 1 - k if reverse else k) % len(steps)
+            if k not in noop:
+                out = apply(current, steps[k])
+                if out is current:
+                    noop.add(k)
+                else:
+                    noop, current = set(), out
+        if current is not before:
+            done = target is not None and current == target
+        records.append(replace(records[-1], n=n) if current is before
+                       else record(n, current, records[-1]))
+    return ConvergenceSeries(tuple(records))

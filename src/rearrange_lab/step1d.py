@@ -293,18 +293,25 @@ def merged_grid(u: StepFunction, v: StepFunction) -> np.ndarray:
     return np.union1d(u.breakpoints, v.breakpoints)
 
 
+def _abs_diff(u: StepFunction, v: StepFunction):
+    """|u - v| on the cells of the merged breakpoint grid, and the cell
+    widths; both empty when u = v = 0."""
+    grid = merged_grid(u, v)
+    if grid.size < 2:
+        return _EMPTY, _EMPTY
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    return (np.abs(u.evaluate_many(mids) - v.evaluate_many(mids)),
+            np.diff(grid))
+
+
 def lp_distance_pow(u: StepFunction, v: StepFunction, p: float) -> float:
     """Integral of |u - v|^p over the merged breakpoint grid."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    grid = merged_grid(u, v)
-    if grid.size < 2:
-        return 0.0
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    diff = np.abs(u.evaluate_many(mids) - v.evaluate_many(mids))
+    diff, widths = _abs_diff(u, v)
     if p != 1:
         diff = diff ** p
-    return float(math.fsum(diff * np.diff(grid)))
+    return float(math.fsum(diff * widths))
 
 
 def lp_distance(u: StepFunction, v: StepFunction, p: float) -> float:
@@ -312,23 +319,16 @@ def lp_distance(u: StepFunction, v: StepFunction, p: float) -> float:
 
 
 def sup_distance(u: StepFunction, v: StepFunction) -> float:
-    grid = merged_grid(u, v)
-    if grid.size < 2:
-        return 0.0
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return float(np.max(np.abs(u.evaluate_many(mids) - v.evaluate_many(mids))))
+    diff, _ = _abs_diff(u, v)
+    return float(np.max(diff)) if diff.size else 0.0
 
 
 def deviation_measure(u: StepFunction, v: StepFunction, eps: float) -> float:
     """Measure of {|u - v| > eps}, exact on the merged grid."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grid = merged_grid(u, v)
-    if grid.size < 2:
-        return 0.0
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    exceeds = np.abs(u.evaluate_many(mids) - v.evaluate_many(mids)) > eps
-    return float(math.fsum(np.diff(grid)[exceeds]))
+    diff, widths = _abs_diff(u, v)
+    return float(math.fsum(widths[diff > eps]))
 
 
 # -- CSV format: header "breakpoint,value"; row i < k holds b_{i-1},v_i;

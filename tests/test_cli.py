@@ -73,6 +73,13 @@ class TestPolarize:
                      "--output", str(tmp_path / "o.csv"),
                      "--by", "nu=3,d=0"]) == 2
 
+    @pytest.mark.parametrize("by", ["nu=1,d=nan", "nu=-1,d=inf"])
+    def test_non_finite_halfspace_is_exit_2(self, step_file, tmp_path, by):
+        out = tmp_path / "o.csv"
+        assert main(["polarize", "--input", str(step_file),
+                     "--output", str(out), "--by", by]) == 2
+        assert not out.exists()
+
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["polarize", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "o.csv"),
@@ -180,6 +187,14 @@ class TestCheck:
         for name in ("cavalieri", "hardy-littlewood", "contraction",
                      "polarization", "lattice-fixed-point"):
             assert f"{name}: 25 cases, pass" in out
+
+    @pytest.mark.parametrize("seed", ["9000003893", "5000083920",
+                                      "1797329998000005120"])
+    def test_contraction_tolerance_scales_with_distance(self, capsys, seed):
+        # p=3 distances near 1e4 differ by one rounding step (~1e-12) here
+        assert main(["check", "--suite", "contraction", "--cases", "1",
+                     "--seed", seed]) == 0
+        assert "contraction: 1 cases, pass" in capsys.readouterr().out
 
     def test_threaded_matches_serial(self, capsys, monkeypatch):
         assert main(["check", "--suite", "contraction", "--cases", "40"]) == 0

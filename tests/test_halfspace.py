@@ -38,6 +38,21 @@ class TestHalfspace:
         with pytest.raises(ValueError):
             Halfspace((1.0, 0.0, 0.0), 0.5)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Halfspace.line(1, math.nan),
+        lambda: Halfspace.line(-1, math.inf),
+        lambda: Halfspace((math.nan,), 0.0),
+        lambda: Halfspace((math.nan, 0.0), 0.5),
+        lambda: Halfspace((1.0, 0.0), -math.inf),
+        lambda: Halfspace((1.0, 0.0), 0.5, theta=math.nan),
+        lambda: Halfspace.plane(math.nan, 0.5),
+        lambda: Halfspace.plane(math.inf, 0.5),
+        lambda: Halfspace.plane(0.5, math.nan),
+    ])
+    def test_non_finite_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_classify(self):
         assert Halfspace.line(1, 0.5).classify() is OriginPosition.INTERIOR
         assert Halfspace.line(1, 0.0).classify() is OriginPosition.BOUNDARY

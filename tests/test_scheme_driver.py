@@ -1,0 +1,297 @@
+"""The shared triangular driver against the naive loops it replaced.
+
+The driver skips step indices seen to leave the identical state unchanged
+and repeats the previous record when an outer step changes nothing.  The
+naive loops below apply every step and recompute every record; the series
+CSV bytes must agree exactly.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from rearrange_lab import analysis, generators, grid2d, step1d
+from rearrange_lab.analysis import (
+    INVARIANT_TOL,
+    InvariantViolation,
+    RadialWeight,
+    converge_restricted,
+    converge_scheme,
+    weighted_mass,
+)
+from rearrange_lab.cli import main
+from rearrange_lab.grid2d import (
+    Axis,
+    GridFunction,
+    HyperplaneKind,
+    LatticeHyperplane,
+    gaussian_cell_mass,
+    mixed_schedule,
+    polarize_grid_exact,
+    rearrange_grid,
+    steiner_rows,
+)
+from rearrange_lab.halfspace import Halfspace, Schedule
+from rearrange_lab.lattice import (
+    polarize_involution,
+    rearrange_lattice,
+    schedule_scheme_lattice,
+    spiral_sites,
+    spiral_weighted_mass,
+)
+from rearrange_lab.series import (
+    ConvergenceRecord,
+    ConvergenceSeries,
+    _triangular_scheme,
+)
+from rearrange_lab.step1d import (
+    StepFunction,
+    deviation_measure,
+    lp_distance,
+    lp_norm,
+    polarize,
+    rearrange,
+    sup_distance,
+)
+
+SEEDS = (3, 17, 29, 101)
+CLI_GRID_STEPS = [Axis.X, Axis.Y,
+                  LatticeHyperplane(HyperplaneKind.DIAG_UP, 0),
+                  LatticeHyperplane(HyperplaneKind.DIAG_DOWN, 0)]
+
+
+# -- naive reference loops ---------------------------------------------------
+
+
+def naive_converge(u, schedule, n_max, p, weight, eps, order):
+    halfspaces = schedule.first(n_max)
+    target = rearrange(u)
+    norm0 = lp_norm(u, p)
+    mass = weighted_mass(u, weight)
+
+    def record(n, current):
+        return ConvergenceRecord(
+            n=n,
+            lp_error=lp_distance(current, target, p),
+            weighted_mass=mass,
+            sup_error=sup_distance(current, target),
+            deviation_measure=deviation_measure(current, target, eps))
+
+    records = [record(0, u)]
+    current = u
+    converged = current == target
+    for n in range(1, n_max + 1):
+        if not converged:
+            prefix = halfspaces[:n]
+            if order == "reversed":
+                prefix = prefix[::-1]
+            for h in prefix:
+                current = polarize(current, h)
+            converged = current == target
+            new_mass = weighted_mass(current, weight)
+            assert abs(lp_norm(current, p) - norm0) <= INVARIANT_TOL
+            assert new_mass >= mass - INVARIANT_TOL
+            mass = new_mass
+        records.append(record(n, current))
+    return ConvergenceSeries(tuple(records))
+
+
+def naive_lattice(u, centers, n_max, p, eps):
+    target = rearrange_lattice(u)
+
+    def record(n, current):
+        sites = set(current.support()) | set(target.support())
+        diffs = [abs(current.value(x) - target.value(x)) for x in sorted(sites)]
+        return ConvergenceRecord(
+            n=n,
+            lp_error=(math.fsum(d ** p for d in diffs) ** (1.0 / p)
+                      if diffs else 0.0),
+            weighted_mass=spiral_weighted_mass(current),
+            sup_error=max(diffs, default=0.0),
+            deviation_measure=float(sum(1 for d in diffs if d > eps)))
+
+    records = [record(0, u)]
+    current = u
+    for n in range(1, n_max + 1):
+        if current != target:
+            for c in centers[:n]:
+                current = polarize_involution(current, c)
+        records.append(record(n, current))
+    return ConvergenceSeries(tuple(records))
+
+
+def naive_grid(u, steps, n_max, p, eps):
+    target = rearrange_grid(u)
+
+    def record(n, current):
+        diff = np.abs(current.values - target.values)
+        cell = current.h * current.h
+        return ConvergenceRecord(
+            n=n,
+            lp_error=float(math.fsum((diff ** p).ravel()) * cell) ** (1.0 / p),
+            weighted_mass=gaussian_cell_mass(current),
+            sup_error=float(diff.max()) if diff.size else 0.0,
+            deviation_measure=float(np.count_nonzero(diff > eps)) * cell)
+
+    records = [record(0, u)]
+    current = u
+    for n in range(1, n_max + 1):
+        for k in range(n):
+            step = steps[k % len(steps)]
+            if isinstance(step, Axis):
+                current = steiner_rows(current, step)
+            else:
+                current = polarize_grid_exact(current, step)
+        records.append(record(n, current))
+    return ConvergenceSeries(tuple(records))
+
+
+# -- byte-identical series ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("weight", [RadialWeight.gaussian(),
+                                    RadialWeight.triangular(16.0)],
+                         ids=["gaussian", "triangular"])
+def test_step1d_matches_naive_loop(seed, order, p, weight):
+    rng = random.Random(seed)
+    # Integer values make some |u - u*| equal eps = 1 exactly.
+    base = generators.random_step_function(rng)
+    integral = StepFunction(base.breakpoints,
+                            [float(rng.randint(1, 3)) for _ in base.values])
+    for u, schedule, eps in (
+            (generators.random_step_function(rng), Schedule(1, rho=1.0), 0.01),
+            (generators.random_step_function(rng, span=1.0),
+             Schedule(1, rho=0.1), 0.01),
+            (integral, Schedule(1, rho=1.0), 1.0)):
+        expected = naive_converge(u, schedule, 40, p, weight, eps, order)
+        got = converge_scheme(u, schedule, n_max=40, p=p, weight=weight,
+                              eps=eps, order=order)
+        assert got.dumps() == expected.dumps()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_lattice_matches_naive_loop(seed, p):
+    u = generators.random_lattice_function(random.Random(seed))
+    centers = spiral_sites(40)
+    expected = naive_lattice(u, centers, 40, p, 0.5)
+    got = schedule_scheme_lattice(u, centers, n_max=40, p=p, eps=0.5)
+    assert got.dumps() == expected.dumps()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_grid_matches_naive_loop(seed, p):
+    u = generators.random_grid_function(random.Random(seed))
+    expected = naive_grid(u, CLI_GRID_STEPS, 16, p, 0.01)
+    got = mixed_schedule(u, CLI_GRID_STEPS, n_max=16, p=p, eps=0.01)
+    assert got.dumps() == expected.dumps()
+
+
+def test_grid_fit_error_still_raised():
+    u = GridFunction.from_points(2, 1.0, {(2, 2): 1.0})
+    steps = [LatticeHyperplane(HyperplaneKind.X, -1.5)]
+    with pytest.raises(grid2d.GridFitError):
+        naive_grid(u, steps, 3, 1.0, 0.01)
+    with pytest.raises(grid2d.GridFitError):
+        mixed_schedule(u, steps, n_max=3)
+
+
+def test_memo_skips_polarizations(monkeypatch):
+    """A run that never converges exactly applies far fewer than the
+    n(n+1)/2 polarizations of the naive loop."""
+    u = generators.random_step_function(random.Random(11), span=1.0)
+    calls = []
+
+    def counting(state, h):
+        calls.append(h)
+        return polarize(state, h)
+
+    monkeypatch.setattr(analysis, "polarize", counting)
+    series = converge_restricted(u, rho=0.1, n_max=100)
+    assert series.final.lp_error > 0   # the state never reached u*
+    assert len(calls) < 100 * 101 // 2 // 4
+
+
+class Counter:
+    def __init__(self, value):
+        self.value = value
+
+
+def test_driver_does_not_assume_idempotence():
+    """A step that changed the state is applied again on the next visit: the
+    driver skips an index only after seeing it return the identical state."""
+
+    def apply(state, step):
+        return Counter(state.value + step) if state.value < 9 else state
+
+    def record(n, state, previous):
+        return ConvergenceRecord(n, float(state.value), 0.0, 0.0, 0.0)
+
+    got = _triangular_scheme(Counter(0), [1, 2], 5, apply, record)
+    naive = []
+    state = Counter(0)
+    for n in range(6):
+        for k in range(n):
+            state = apply(state, [1, 2][k % 2])
+        naive.append(state.value)
+    assert [r.lp_error for r in got] == naive == [0, 1, 4, 8, 9, 9]
+
+
+# -- the no-op contract the memo relies on -----------------------------------
+
+
+def test_step_functions_return_their_input_on_a_no_op():
+    rng = random.Random(5)
+    u = generators.random_step_function(rng)
+    star = rearrange(u)
+    for h in Schedule(1).first(20):
+        assert polarize(star, h) is star
+        once = polarize(u, h)
+        assert polarize(once, h) is once
+    zero = StepFunction.zero()
+    assert polarize(zero, Halfspace.line(1, 0.5)) is zero
+
+    w = generators.random_lattice_function(rng)
+    w_star = rearrange_lattice(w)
+    for c in spiral_sites(20):
+        assert polarize_involution(w_star, c) is w_star
+        once = polarize_involution(w, c)
+        assert polarize_involution(once, c) is once
+
+    g = generators.random_grid_function(rng)
+    for step in CLI_GRID_STEPS:
+        apply = steiner_rows if isinstance(step, Axis) else polarize_grid_exact
+        once = apply(g, step)
+        assert apply(once, step) is once
+        flat = GridFunction.zeros(g.m, g.h)
+        assert apply(flat, step) is flat
+
+
+# -- invariant checks survive record reuse -----------------------------------
+
+
+def _shift_right(state, h):
+    """Changes the state and moves it away from 0, lowering its mass."""
+    return StepFunction(state.breakpoints + 4.0, state.values)
+
+
+def test_mass_decrease_raises(monkeypatch):
+    monkeypatch.setattr(analysis, "polarize", _shift_right)
+    with pytest.raises(InvariantViolation, match="weighted mass decreased"):
+        converge_scheme(StepFunction.indicator(0, 1), n_max=5)
+
+
+def test_cli_converge_exits_4_on_invariant_violation(monkeypatch, tmp_path):
+    src = tmp_path / "u.csv"
+    out = tmp_path / "series.csv"
+    step1d.write_csv(StepFunction.indicator(0, 1), src)
+    monkeypatch.setattr(analysis, "polarize", _shift_right)
+    assert main(["converge", "--input", str(src), "--output", str(out),
+                 "--n-max", "5"]) == 4
+    assert not out.exists()
