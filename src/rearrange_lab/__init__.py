@@ -6,7 +6,7 @@ Engines:
     grid2d  -- centered 2-D grids with lattice-exact and interpolated modes
 
 Supporting modules:
-    halfspace -- halfspace geometry, reflections, dense dyadic schedules
+    halfspace -- halfspace geometry and dense dyadic schedules
     analysis  -- inequality functionals and the iterated-polarization scheme
     series    -- per-iteration convergence records and their CSV format
     cli       -- command-line front end

@@ -4,8 +4,7 @@ scheme on the exact 1-D engine.
 The triangular scheme applies the schedule prefix H_1 .. H_n at outer step
 n, so n outer steps cost n(n+1)/2 polarizations in total.  Along every run
 the L^p norm is an exact invariant and the weighted mass against a radial
-nonincreasing weight never decreases; both are enforced at 1e-12 unless
-disabled.
+nonincreasing weight never decreases; both are enforced at 1e-12.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .halfspace import Halfspace, Schedule, ScheduleKind
+from .halfspace import Halfspace, Schedule
 from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
 from .step1d import (
     StepFunction,
@@ -143,8 +142,7 @@ class InvariantViolation(RuntimeError):
 def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
                     n_max: int = 60, p: float = 1.0,
                     weight: RadialWeight | None = None, eps: float = 0.01,
-                    order: str = "forward",
-                    check_invariants: bool = True) -> ConvergenceSeries:
+                    order: str = "forward") -> ConvergenceSeries:
     """Triangular iterated-polarization scheme toward the symmetric
     rearrangement.
 
@@ -167,7 +165,7 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
 
     def record(n, current, previous):
         mass = weighted_mass(current, weight)
-        if previous is not None and check_invariants:
+        if previous is not None:
             if abs(lp_norm(current, p) - norm0) > INVARIANT_TOL:
                 raise InvariantViolation(
                     f"L^{p} norm drifted at outer step {n}")
@@ -188,12 +186,9 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
 
 def converge_restricted(u: StepFunction, rho: float = 0.1, n_max: int = 200,
                         p: float = 1.0, weight: RadialWeight | None = None,
-                        eps: float = 0.01, order: str = "forward",
-                        check_invariants: bool = True) -> ConvergenceSeries:
+                        eps: float = 0.01,
+                        order: str = "forward") -> ConvergenceSeries:
     """converge_scheme with the ball-restricted dyadic schedule: boundaries
     meet B(0, rho) but convergence to the rearrangement is retained."""
-    schedule = Schedule(dimension=1, rho=rho,
-                        kind=ScheduleKind.RESTRICTED_DYADIC)
-    return converge_scheme(u, schedule, n_max=n_max, p=p, weight=weight,
-                           eps=eps, order=order,
-                           check_invariants=check_invariants)
+    return converge_scheme(u, Schedule(dimension=1, rho=rho), n_max=n_max,
+                           p=p, weight=weight, eps=eps, order=order)

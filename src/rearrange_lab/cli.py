@@ -9,11 +9,8 @@ violation during a convergence run.
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, generators, grid2d, lattice, step1d
 from .errors import ParseError
@@ -181,27 +178,18 @@ SUITES = {
 }
 
 
-def _run_suite(name, cases, seed, workers):
-    """Per-case seeds are seed + index, so results are order-independent."""
+def _run_suite(name, cases, seed):
+    """(index, report) of each failing case; case i runs on seed + i."""
     check = SUITES[name]
-
-    def one(i):
-        return check(random.Random(seed + i))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(cases)))
-    else:
-        results = [one(i) for i in range(cases)]
+    results = (check(random.Random(seed + i)) for i in range(cases))
     return [(i, r) for i, r in enumerate(results) if r is not None]
 
 
 def cmd_check(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    workers = max(1, int(os.environ.get("REARRANGE_LAB_THREADS", "1")))
     failed = False
     for name in names:
-        failures = _run_suite(name, args.cases, args.seed, workers)
+        failures = _run_suite(name, args.cases, args.seed)
         status = "pass" if not failures else f"FAIL ({len(failures)} cases)"
         print(f"{name}: {args.cases} cases, {status}")
         for i, report in failures[:10]:

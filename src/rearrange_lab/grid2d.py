@@ -16,6 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _textio
 from .errors import ParseError
 from .halfspace import Halfspace
 from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
@@ -54,11 +55,14 @@ class LatticeHyperplane:
 
     def __post_init__(self):
         object.__setattr__(self, "s", float(self.s))
+        if not math.isfinite(self.s):
+            raise ValueError(f"offset must be finite, got {self.s}")
         if self.kind in (HyperplaneKind.X, HyperplaneKind.Y):
-            if (2 * self.s) != round(2 * self.s):
+            # is_integer, not round: 2*s overflows to inf near the float max.
+            if not (2 * self.s).is_integer():
                 raise ValueError("X/Y offsets must be half-integers")
         else:
-            if self.s != round(self.s):
+            if not self.s.is_integer():
                 raise ValueError("diagonal offsets must be integers")
 
     def reflect_index(self, i: int, j: int) -> tuple[int, int]:
@@ -126,8 +130,8 @@ class GridFunction:
         h = float(h)
         if m < 0:
             raise ValueError("half-width m must be >= 0")
-        if not h > 0:
-            raise ValueError("cell size h must be positive")
+        if not 0 < h < math.inf:
+            raise ValueError(f"cell size h must be positive and finite, got {h}")
         v = np.array(values, dtype=float)
         if v.shape != (2 * m + 1, 2 * m + 1):
             raise ValueError(f"values must be a {2*m+1}x{2*m+1} array")
@@ -367,7 +371,7 @@ def dumps(u: GridFunction) -> str:
 
 
 def loads(text: str) -> GridFunction:
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = _textio.data_lines(text)
     if not lines:
         raise ParseError("empty grid file")
     head = lines[0].split(",")
@@ -391,10 +395,8 @@ def loads(text: str) -> GridFunction:
 
 
 def write_csv(u: GridFunction, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(u))
+    _textio.write_text(path, dumps(u))
 
 
 def read_csv(path) -> GridFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return loads(_textio.read_text(path))

@@ -1,4 +1,4 @@
-"""Halfspace geometry, exact reflections, and dense dyadic schedules.
+"""Halfspace geometry, its text encoding, and dense dyadic schedules.
 
 A closed halfspace is H = {x : <x, normal> <= offset} in R^1 or R^2.  All
 operations here are pure; Halfspace and Schedule values are immutable and
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -19,14 +18,6 @@ from .errors import ParseError
 
 _UNIT_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
-
-
-class OriginPosition(Enum):
-    """Where the origin sits relative to a halfspace (offset sign)."""
-
-    INTERIOR = "interior"   # offset > 0
-    BOUNDARY = "boundary"   # offset = 0
-    EXTERIOR = "exterior"   # offset < 0
 
 
 @dataclass(frozen=True)
@@ -71,30 +62,6 @@ class Halfspace:
     def dimension(self) -> int:
         return len(self.normal)
 
-    def classify(self) -> OriginPosition:
-        if self.offset > 0:
-            return OriginPosition.INTERIOR
-        if self.offset == 0:
-            return OriginPosition.BOUNDARY
-        return OriginPosition.EXTERIOR
-
-    def contains(self, x) -> bool:
-        return self._dot(x) <= self.offset
-
-    def reflect(self, x):
-        """Reflection across the boundary hyperplane; an involution fixing it."""
-        t = self._dot(x) - self.offset
-        if self.dimension == 1:
-            x0 = x[0] if isinstance(x, (tuple, list)) else x
-            return (x0 - 2.0 * t * self.normal[0],)
-        return (x[0] - 2.0 * t * self.normal[0], x[1] - 2.0 * t * self.normal[1])
-
-    def _dot(self, x) -> float:
-        if self.dimension == 1:
-            x0 = x[0] if isinstance(x, (tuple, list)) else x
-            return self.normal[0] * x0
-        return self.normal[0] * x[0] + self.normal[1] * x[1]
-
     def angle(self) -> float:
         """Direction of the normal in [0, 2*pi) (2-D) or {0, pi} (1-D)."""
         if self.dimension == 1:
@@ -120,13 +87,14 @@ class Halfspace:
             d = float(fields["d"])
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad halfspace encoding {text!r}") from exc
-        if dimension == 1:
-            if nu not in (1.0, -1.0):
-                raise ParseError(f"1-D normal must be +1 or -1, got {nu}")
-            return cls.line(nu, d)
-        if dimension == 2:
-            return cls.plane(nu, d)
-        raise ParseError(f"unsupported dimension {dimension}")
+        if dimension not in (1, 2):
+            raise ParseError(f"unsupported dimension {dimension}")
+        if dimension == 1 and nu not in (1.0, -1.0):
+            raise ParseError(f"1-D normal must be +1 or -1, got {nu}")
+        try:
+            return cls.line(nu, d) if dimension == 1 else cls.plane(nu, d)
+        except ValueError as exc:
+            raise ParseError(f"bad halfspace {text!r}: {exc}") from exc
 
 
 def halfspace_distance(h1: Halfspace, h2: Halfspace) -> float:
@@ -140,11 +108,6 @@ def halfspace_distance(h1: Halfspace, h2: Halfspace) -> float:
     dot = sum(a * b for a, b in zip(h1.normal, h2.normal))
     angle = math.acos(min(1.0, max(-1.0, dot)))
     return angle + abs(h1.offset - h2.offset)
-
-
-class ScheduleKind(Enum):
-    FULL_DYADIC = "full-dyadic"
-    RESTRICTED_DYADIC = "restricted-dyadic"
 
 
 def _dyadic_level_count(rho: float, m: int) -> int:
@@ -199,13 +162,10 @@ class Schedule:
     Offsets run over the dyadic rationals k/2**m <= rho (k odd, m >= 1),
     breadth-first by level, so every emitted halfspace has 0 as an interior
     point and the sequence is dense among halfspaces with offset <= rho.
-    The two kinds use the same construction; RESTRICTED_DYADIC is the small-rho
-    variant that relies on the ball-restricted convergence lemma.
     """
 
     dimension: int
     rho: float = 1.0
-    kind: ScheduleKind = ScheduleKind.FULL_DYADIC
 
     def __post_init__(self):
         if self.dimension not in (1, 2):

@@ -9,9 +9,10 @@ recomputing them, so value multisets are preserved bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import Iterable, Mapping
 
+from . import _textio
 from .errors import ParseError
 from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
 
@@ -89,26 +90,6 @@ class LatticeFunction:
         return f"LatticeFunction({dict(self.items())!r})"
 
 
-@dataclass(frozen=True)
-class LatticeInvolution:
-    """Reflection i(x) = center - x, the only non-identity isometric
-    involutions of Z."""
-
-    center: int
-
-    def apply(self, x: int) -> int:
-        return self.center - x
-
-
-def _center(involution):
-    """Reflection center, or None for the identity involution (a no-op)."""
-    if involution is None:
-        return None
-    if isinstance(involution, LatticeInvolution):
-        return involution.center
-    return int(involution)
-
-
 def rearrange_lattice(u: LatticeFunction) -> LatticeFunction:
     """Spiral-order decreasing rearrangement: j-th largest value goes to the
     site of rank j-1."""
@@ -116,13 +97,11 @@ def rearrange_lattice(u: LatticeFunction) -> LatticeFunction:
     return LatticeFunction((site_of_rank(r), v) for r, v in enumerate(values))
 
 
-def polarize_involution(u: LatticeFunction,
-                        involution: LatticeInvolution | int) -> LatticeFunction:
-    """For each orbit {x, i(x)}: the larger value goes to the spiral-smaller
-    site; fixed points are unchanged."""
-    c = _center(involution)
-    if c is None:
-        return u
+def polarize_involution(u: LatticeFunction, c: int) -> LatticeFunction:
+    """Polarize by the involution i(x) = c - x: for each orbit {x, i(x)} the
+    larger value goes to the spiral-smaller site; fixed points are
+    unchanged."""
+    c = operator.index(c)   # a float center would put values off the lattice
     values = dict(u._values)
     seen = set()
     for x in list(values):
@@ -146,39 +125,28 @@ def polarize_involution(u: LatticeFunction,
     return u if out == u else out
 
 
-def two_involution_scheme(u: LatticeFunction, max_sweeps: int = 10_000,
-                          centers: tuple = (0, 1)):
+def two_involution_scheme(u: LatticeFunction, max_sweeps: int = 10_000):
     """Iterate the polarization pair (x -> -x, x -> 1 - x) to its common
     fixed point, which equals rearrange_lattice(u).
 
     Returns (fixed point, sweeps used).  Raises ConvergenceError if the
-    budget is exhausted (a bug or an inert pair, e.g. the identity).
+    budget is exhausted.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     current = u
     for sweep in range(1, max_sweeps + 1):
-        step = polarize_involution(polarize_involution(current, centers[0]),
-                                   centers[1])
+        step = polarize_involution(polarize_involution(current, 0), 1)
         if step == current:
             return current, sweep
         current = step
-    raise ConvergenceError(
-        f"no fixed point within {max_sweeps} sweeps for centers {centers}")
+    raise ConvergenceError(f"no fixed point within {max_sweeps} sweeps")
 
 
 def lattice_lp_norm(u: LatticeFunction, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     return math.fsum(v ** p for _, v in u.items()) ** (1.0 / p)
-
-
-def lattice_lp_distance(u: LatticeFunction, v: LatticeFunction, p: float) -> float:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    sites = set(u.support()) | set(v.support())
-    return math.fsum(
-        abs(u.value(x) - v.value(x)) ** p for x in sorted(sites)) ** (1.0 / p)
 
 
 def spiral_weighted_mass(u: LatticeFunction) -> float:
@@ -227,7 +195,7 @@ def dumps(u: LatticeFunction) -> str:
 
 
 def loads(text: str) -> LatticeFunction:
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = _textio.data_lines(text)
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError("expected lattice header 'site,value'")
     pairs = []
@@ -246,10 +214,8 @@ def loads(text: str) -> LatticeFunction:
 
 
 def write_csv(u: LatticeFunction, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(u))
+    _textio.write_text(path, dumps(u))
 
 
 def read_csv(path) -> LatticeFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return loads(_textio.read_text(path))

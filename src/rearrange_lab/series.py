@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from . import _textio
 from .errors import ParseError
 
 
@@ -44,9 +45,6 @@ class ConvergenceSeries:
     def final(self) -> ConvergenceRecord:
         return self.records[-1]
 
-    def lp_errors(self) -> list[float]:
-        return [r.lp_error for r in self.records]
-
     def weighted_masses(self) -> list[float]:
         return [r.weighted_mass for r in self.records]
 
@@ -63,12 +61,11 @@ class ConvergenceSeries:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.dumps())
+        _textio.write_text(path, self.dumps())
 
     @classmethod
     def loads(cls, text: str) -> "ConvergenceSeries":
-        lines = [line for line in text.split("\n") if line.strip()]
+        lines = _textio.data_lines(text)
         if not lines or lines[0].strip() != CSV_HEADER:
             raise ParseError("expected convergence-series header")
         records = []
@@ -86,8 +83,7 @@ class ConvergenceSeries:
 
     @classmethod
     def read_csv(cls, path) -> "ConvergenceSeries":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        return cls.loads(_textio.read_text(path))
 
 
 def _triangular_scheme(start, steps, n_max, apply, record, target=None,

@@ -16,6 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _textio
 from .errors import ParseError
 from .halfspace import Halfspace
 
@@ -348,7 +349,7 @@ def dumps(u: StepFunction) -> str:
 
 
 def loads(text: str) -> StepFunction:
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = _textio.data_lines(text)
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ParseError("expected step-function header 'breakpoint,value'")
     breakpoints = []
@@ -372,10 +373,8 @@ def loads(text: str) -> StepFunction:
 
 
 def write_csv(u: StepFunction, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(u))
+    _textio.write_text(path, dumps(u))
 
 
 def read_csv(path) -> StepFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    return loads(_textio.read_text(path))

@@ -29,6 +29,10 @@ class TestLatticeHyperplane:
         LatticeHyperplane(HyperplaneKind.Y, -2.0)
         with pytest.raises(ValueError):
             LatticeHyperplane(HyperplaneKind.X, 0.25)
+        with pytest.raises(ValueError):
+            LatticeHyperplane(HyperplaneKind.Y, float("inf"))
+        with pytest.raises(ValueError):
+            LatticeHyperplane(HyperplaneKind.X, 8.98846567431158e307)
 
     def test_diagonal_offsets_integer(self):
         LatticeHyperplane(HyperplaneKind.DIAG_UP, 3)
@@ -63,8 +67,9 @@ class TestLatticeHyperplane:
     def test_as_halfspace_consistent(self):
         hp = LatticeHyperplane(HyperplaneKind.X, 1.5)
         h = hp.as_halfspace(0.5)
-        assert h.contains((0.75, 3.0))
-        assert not h.contains((1.0, 0.0))
+        nx, ny = h.normal
+        assert 0.75 * nx + 3.0 * ny <= h.offset
+        assert not 1.0 * nx + 0.0 * ny <= h.offset
 
 
 class TestGridFunction:
@@ -73,6 +78,8 @@ class TestGridFunction:
             GridFunction(2, 1.0, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             GridFunction(1, 0.0, np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            GridFunction(1, float("inf"), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             GridFunction(1, 1.0, -np.ones((3, 3)))
 
@@ -266,3 +273,5 @@ class TestCsv:
             loads("1\n0,0,0\n")
         with pytest.raises(ParseError):
             loads("1,0.5\n0,0\n")
+        with pytest.raises(ParseError):
+            loads("1,inf\n0,0,0\n0,1,0\n0,0,0\n")

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +6,7 @@ from hypothesis import given, strategies as st
 from rearrange_lab.errors import ParseError
 from rearrange_lab.halfspace import (
     Halfspace,
-    OriginPosition,
     Schedule,
-    ScheduleKind,
     density_witness,
     halfspace_distance,
 )
@@ -52,43 +49,6 @@ class TestHalfspace:
     def test_non_finite_rejected(self, build):
         with pytest.raises(ValueError):
             build()
-
-    def test_classify(self):
-        assert Halfspace.line(1, 0.5).classify() is OriginPosition.INTERIOR
-        assert Halfspace.line(1, 0.0).classify() is OriginPosition.BOUNDARY
-        assert Halfspace.line(-1, -0.5).classify() is OriginPosition.EXTERIOR
-
-    def test_contains(self):
-        h = Halfspace.line(1, 0.5)
-        assert h.contains(0.5)
-        assert h.contains(-3.0)
-        assert not h.contains(0.6)
-        h2 = Halfspace.plane(0.0, 1.0)     # {x <= 1}
-        assert h2.contains((1.0, 5.0))
-        assert not h2.contains((1.5, 0.0))
-
-    def test_reflect_1d(self):
-        h = Halfspace.line(1, 0.5)
-        assert h.reflect(0.0) == (1.0,)
-        assert h.reflect(0.5) == (0.5,)
-
-    def test_reflect_is_involution_2d(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            h = Halfspace.plane(rng.uniform(0, 2 * math.pi),
-                                rng.uniform(-2, 2))
-            x = (rng.uniform(-5, 5), rng.uniform(-5, 5))
-            y = h.reflect(h.reflect(x))
-            assert abs(y[0] - x[0]) < 1e-12
-            assert abs(y[1] - x[1]) < 1e-12
-
-    def test_reflect_fixes_boundary(self):
-        h = Halfspace.plane(0.3, 0.7)
-        # a boundary point: offset * normal
-        x = (0.7 * h.normal[0], 0.7 * h.normal[1])
-        y = h.reflect(x)
-        assert abs(y[0] - x[0]) < 1e-15
-        assert abs(y[1] - x[1]) < 1e-15
 
     def test_encode_parse_roundtrip_1d(self):
         h = Halfspace.line(-1, 0.75)
@@ -169,12 +129,6 @@ class TestSchedule:
         s = Schedule(dimension=1, rho=1.0)
         from itertools import islice
         assert list(islice(iter(s), 25)) == s.first(25)
-
-    def test_restricted_same_construction(self):
-        full = Schedule(dimension=1, rho=0.1)
-        restricted = Schedule(dimension=1, rho=0.1,
-                              kind=ScheduleKind.RESTRICTED_DYADIC)
-        assert full.first(100) == restricted.first(100)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from rearrange_lab.errors import ParseError
 from rearrange_lab.lattice import (
     ConvergenceError,
     LatticeFunction,
-    LatticeInvolution,
     dumps,
     lattice_lp_norm,
     loads,
@@ -93,10 +92,9 @@ class TestPolarizeInvolution:
         for c in range(-5, 6):
             assert polarize_involution(u, c) is u
 
-    def test_accepts_involution_object(self):
-        u = LatticeFunction({-2: 7.0})
-        assert polarize_involution(u, LatticeInvolution(0)) == \
-            LatticeFunction({2: 7.0})
+    def test_non_integer_center_rejected(self):
+        with pytest.raises(TypeError):
+            polarize_involution(LatticeFunction({1: 3.0, -2: 5.0}), 0.5)
 
     def test_idempotent(self):
         rng = random.Random(3)
