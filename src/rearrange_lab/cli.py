@@ -12,7 +12,7 @@ import argparse
 import random
 import sys
 
-from . import analysis, generators, grid2d, lattice, step1d
+from . import _textio, analysis, generators, grid2d, lattice, step1d
 from .errors import ParseError
 from .grid2d import Axis, GridFitError, HyperplaneKind, LatticeHyperplane
 from .halfspace import Halfspace, Schedule
@@ -68,11 +68,7 @@ def _parse_geometry(engine: str, text: str):
         return Halfspace.parse(text, dimension=1)
     if engine == "grid2d":
         return LatticeHyperplane.parse(text)
-    fields = dict(part.split("=", 1) for part in text.strip().split(","))
-    try:
-        return int(fields["c"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad involution encoding {text!r} (want c=<int>)") from exc
+    return _textio.keyed(text, {"c": int}, "c=<int>")[0]
 
 
 def cmd_polarize(args) -> int:

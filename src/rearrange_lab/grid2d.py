@@ -66,6 +66,7 @@ class LatticeHyperplane:
                 raise ValueError("diagonal offsets must be integers")
 
     def reflect_index(self, i: int, j: int) -> tuple[int, int]:
+        """Image of cell (i, j); elementwise on index arrays too."""
         s2 = round(2 * self.s)
         s1 = round(self.s)
         if self.kind is HyperplaneKind.X:
@@ -77,6 +78,7 @@ class LatticeHyperplane:
         return s1 + j, i - s1
 
     def contains_index(self, i: int, j: int) -> bool:
+        """Whether cell (i, j) lies in H; elementwise on index arrays too."""
         if self.kind is HyperplaneKind.X:
             return i <= self.s
         if self.kind is HyperplaneKind.Y:
@@ -106,14 +108,15 @@ class LatticeHyperplane:
 
     @classmethod
     def parse(cls, text: str) -> "LatticeHyperplane":
+        kinds = {"X": HyperplaneKind.X, "Y": HyperplaneKind.Y,
+                 "U": HyperplaneKind.DIAG_UP, "D": HyperplaneKind.DIAG_DOWN}
+        kind, s = _textio.keyed(
+            text, {"dir": lambda d: kinds[d.upper()], "s": float},
+            "dir=X|Y|U|D,s=<offset>")
         try:
-            fields = dict(part.split("=", 1) for part in text.strip().split(","))
-            kind = {"X": HyperplaneKind.X, "Y": HyperplaneKind.Y,
-                    "U": HyperplaneKind.DIAG_UP, "D": HyperplaneKind.DIAG_DOWN}[
-                        fields["dir"].upper()]
-            return cls(kind, float(fields["s"]))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad hyperplane encoding {text!r}") from exc
+            return cls(kind, s)
+        except ValueError as exc:
+            raise ParseError(f"bad hyperplane {text!r}: {exc}") from exc
 
 
 class GridFunction:
@@ -181,37 +184,19 @@ def _index_grids(m: int):
     return np.meshgrid(rng, rng, indexing="xy")   # I varies along columns
 
 
-def _reflect_arrays(hp: LatticeHyperplane, I, J):
-    s2 = round(2 * hp.s)
-    s1 = round(hp.s)
-    if hp.kind is HyperplaneKind.X:
-        return s2 - I, J
-    if hp.kind is HyperplaneKind.Y:
-        return I, s2 - J
-    if hp.kind is HyperplaneKind.DIAG_UP:
-        return s1 - J, s1 - I
-    return s1 + J, I - s1
-
-
-def _membership_arrays(hp: LatticeHyperplane, I, J):
-    if hp.kind is HyperplaneKind.X:
-        return I <= hp.s
-    if hp.kind is HyperplaneKind.Y:
-        return J <= hp.s
-    if hp.kind is HyperplaneKind.DIAG_UP:
-        return I + J <= hp.s
-    return I - J <= hp.s
-
-
 def polarize_grid_exact(u: GridFunction, hp: LatticeHyperplane) -> GridFunction:
     """Pairwise polarization along a grid-preserving reflection: within each
     orbit {p, sigma(p)} the larger value goes to the H side.  Raises
     GridFitError if a positive value would have to leave the array."""
     m = u.m
+    # Past 2m+1 every cell is on one side and reflects off the array, as for
+    # the original offset, whose round(2*s) may not fit numpy's int64.
+    bound = 2 * m + 1
+    clamped = LatticeHyperplane(hp.kind, min(max(hp.s, -bound), bound))
     I, J = _index_grids(m)
-    RI, RJ = _reflect_arrays(hp, I, J)
+    RI, RJ = clamped.reflect_index(I, J)
     inside = (np.abs(RI) <= m) & (np.abs(RJ) <= m)
-    in_h = _membership_arrays(hp, I, J)
+    in_h = clamped.contains_index(I, J)
     escapes = ~inside & ~in_h & (u.values > 0)
     if np.any(escapes):
         raise GridFitError(
@@ -364,34 +349,11 @@ def _grid_record(n, current, target, p, eps):
 
 
 def dumps(u: GridFunction) -> str:
-    lines = [f"{u.m},{format(u.h, '.17g')}"]
-    for row in u.values:
-        lines.append(",".join(format(x, ".17g") for x in row))
-    return "\n".join(lines) + "\n"
+    return _textio.dumps((u.m, u.h), float, u.values.tolist())
 
 
 def loads(text: str) -> GridFunction:
-    lines = _textio.data_lines(text)
-    if not lines:
-        raise ParseError("empty grid file")
-    head = lines[0].split(",")
-    if len(head) != 2:
-        raise ParseError("expected grid header 'm,h'")
-    try:
-        m = int(head[0])
-        h = float(head[1])
-    except ValueError as exc:
-        raise ParseError(f"bad grid header {lines[0]!r}") from exc
-    rows = []
-    for line in lines[1:]:
-        try:
-            rows.append([float(x) for x in line.split(",")])
-        except ValueError as exc:
-            raise ParseError(f"bad grid row {line!r}") from exc
-    try:
-        return GridFunction(m, h, rows)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _textio.loads(text, (int, float), float, GridFunction)
 
 
 def write_csv(u: GridFunction, path) -> None:

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _textio
 from .errors import ParseError
 
 _UNIT_TOL = 1e-12
@@ -81,12 +82,8 @@ class Halfspace:
     @classmethod
     def parse(cls, text: str, dimension: int) -> "Halfspace":
         """Inverse of :meth:`encode` for a known dimension."""
-        try:
-            fields = dict(part.split("=", 1) for part in text.strip().split(","))
-            nu = float(fields["nu"])
-            d = float(fields["d"])
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"bad halfspace encoding {text!r}") from exc
+        nu, d = _textio.keyed(text, {"nu": float, "d": float},
+                              "nu=<angle or +-1>,d=<offset>")
         if dimension not in (1, 2):
             raise ParseError(f"unsupported dimension {dimension}")
         if dimension == 1 and nu not in (1.0, -1.0):

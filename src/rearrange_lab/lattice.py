@@ -13,7 +13,6 @@ import operator
 from typing import Iterable, Mapping
 
 from . import _textio
-from .errors import ParseError
 from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
 
 
@@ -49,14 +48,18 @@ class LatticeFunction:
 
     def __init__(self, mapping: Mapping[int, float] | Iterable[tuple] = ()):
         items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        values = {}
+        values, zeros = {}, set()
         for site, value in items:
             site = int(site)
             value = float(value)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"value at site {site} must be finite and >= 0")
+            if site in values or site in zeros:
+                raise ValueError(f"site {site} is given more than once")
             if value > 0:
                 values[site] = value
+            else:
+                zeros.add(site)
         self._values = values
 
     @property
@@ -121,8 +124,12 @@ def polarize_involution(u: LatticeFunction, c: int) -> LatticeFunction:
                 values[site] = val
             else:
                 values.pop(site, None)
-    out = LatticeFunction(values)
-    return u if out == u else out
+    if values == u._values:
+        return u
+    # Only u's checked values moved, to distinct sites: skip revalidation.
+    out = LatticeFunction.__new__(LatticeFunction)
+    out._values = values
+    return out
 
 
 def two_involution_scheme(u: LatticeFunction, max_sweeps: int = 10_000):
@@ -188,29 +195,13 @@ CSV_HEADER = "site,value"
 
 
 def dumps(u: LatticeFunction) -> str:
-    lines = [CSV_HEADER]
-    for site, value in u.items():
-        lines.append(f"{site},{format(value, '.17g')}")
-    return "\n".join(lines) + "\n"
+    return _textio.dumps(CSV_HEADER, (int, float), zip(*u.items()))
 
 
 def loads(text: str) -> LatticeFunction:
-    lines = _textio.data_lines(text)
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise ParseError("expected lattice header 'site,value'")
-    pairs = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"bad lattice row {line!r}")
-        try:
-            pairs.append((int(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"bad number in row {line!r}") from exc
-    try:
-        return LatticeFunction(pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _textio.loads(
+        text, CSV_HEADER, (int, float),
+        lambda sites, values: LatticeFunction(zip(sites, values)))
 
 
 def write_csv(u: LatticeFunction, path) -> None:

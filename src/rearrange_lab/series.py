@@ -2,7 +2,7 @@
 shared by the three engines.
 
 CSV layout: header ``n,lp_error,weighted_mass,sup_error,deviation_measure``,
-one row per recorded iteration, 17-significant-digit decimals.
+one row per recorded iteration (table rules in ``_textio``).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import _textio
-from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -49,37 +48,19 @@ class ConvergenceSeries:
         return [r.weighted_mass for r in self.records]
 
     def dumps(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.records:
-            lines.append(",".join([
-                str(r.n),
-                format(r.lp_error, ".17g"),
-                format(r.weighted_mass, ".17g"),
-                format(r.sup_error, ".17g"),
-                format(r.deviation_measure, ".17g"),
-            ]))
-        return "\n".join(lines) + "\n"
+        rows = [(r.n, r.lp_error, r.weighted_mass, r.sup_error,
+                 r.deviation_measure) for r in self.records]
+        return _textio.dumps(CSV_HEADER, (int, float, float, float, float),
+                             zip(*rows))
 
     def write_csv(self, path) -> None:
         _textio.write_text(path, self.dumps())
 
     @classmethod
     def loads(cls, text: str) -> "ConvergenceSeries":
-        lines = _textio.data_lines(text)
-        if not lines or lines[0].strip() != CSV_HEADER:
-            raise ParseError("expected convergence-series header")
-        records = []
-        for line in lines[1:]:
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError(f"bad series row {line!r}")
-            try:
-                records.append(ConvergenceRecord(
-                    int(parts[0]), float(parts[1]), float(parts[2]),
-                    float(parts[3]), float(parts[4])))
-            except ValueError as exc:
-                raise ParseError(f"bad number in row {line!r}") from exc
-        return cls(tuple(records))
+        return _textio.loads(
+            text, CSV_HEADER, (int, float, float, float, float),
+            lambda *columns: cls(map(ConvergenceRecord, *columns)))
 
     @classmethod
     def read_csv(cls, path) -> "ConvergenceSeries":

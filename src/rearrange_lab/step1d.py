@@ -17,7 +17,6 @@ from typing import Iterable
 import numpy as np
 
 from . import _textio
-from .errors import ParseError
 from .halfspace import Halfspace
 
 _EMPTY = np.empty(0)
@@ -339,37 +338,14 @@ CSV_HEADER = "breakpoint,value"
 
 
 def dumps(u: StepFunction) -> str:
-    lines = [CSV_HEADER]
-    b = u.breakpoints
-    for i, v in enumerate(u.values):
-        lines.append(f"{format(b[i], '.17g')},{format(v, '.17g')}")
-    if b.size:
-        lines.append(f"{format(b[-1], '.17g')},")
-    return "\n".join(lines) + "\n"
+    return _textio.dumps(CSV_HEADER, (float, float),
+                         [u.breakpoints.tolist(), u.values.tolist()])
 
 
 def loads(text: str) -> StepFunction:
-    lines = _textio.data_lines(text)
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise ParseError("expected step-function header 'breakpoint,value'")
-    breakpoints = []
-    values = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"bad step-function row {line!r}")
-        try:
-            breakpoints.append(float(parts[0]))
-            if parts[1].strip():
-                values.append(float(parts[1]))
-        except ValueError as exc:
-            raise ParseError(f"bad number in row {line!r}") from exc
-    if breakpoints and len(breakpoints) != len(values) + 1:
-        raise ParseError("final row must carry the last breakpoint and no value")
-    try:
-        return StepFunction(breakpoints, values)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _textio.loads(
+        text, CSV_HEADER, (float, _textio.optional(float)),
+        lambda b, v: StepFunction(b, [x for x in v if x is not None]))
 
 
 def write_csv(u: StepFunction, path) -> None:

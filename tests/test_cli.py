@@ -87,6 +87,24 @@ class TestPolarize:
                      "--output", str(out), "--by", by]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("by,code", [
+        ("dir=X,s=1e300", 0), ("dir=X,s=-1e300", 3),
+        ("dir=U,s=1e300", 0), ("dir=U,s=-1e300", 3),
+    ])
+    def test_grid_offset_far_outside_the_array(self, tmp_path, by, code):
+        src = tmp_path / "g.csv"
+        out = tmp_path / "o.csv"
+        grid2d.write_csv(GridFunction(2, 1.0, [[1.0] * 5] * 5), src)
+        assert main(["polarize", "--input", str(src), "--output", str(out),
+                     "--by", by]) == code
+        assert out.exists() == (code == 0)
+
+    def test_involution_without_value_is_exit_2(self, lattice_file, tmp_path,
+                                                capsys):
+        assert main(["polarize", "--input", str(lattice_file),
+                     "--output", str(tmp_path / "o.csv"), "--by", "c"]) == 2
+        assert "want c=<int>" in capsys.readouterr().err
+
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["polarize", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "o.csv"),
@@ -121,6 +139,14 @@ class TestRearrange:
         assert main(["rearrange", "--input", str(grid_file),
                      "--output", str(out)]) == 0
         assert grid2d.read_csv(out).value(0, 0) == 5.0
+
+    def test_repeated_lattice_site_is_exit_2(self, tmp_path):
+        src = tmp_path / "l.csv"
+        out = tmp_path / "o.csv"
+        src.write_text("site,value\n1,2\n1,3\n")
+        assert main(["rearrange", "--input", str(src),
+                     "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_engine_inference_vs_override(self, lattice_file, tmp_path):
         # forcing the wrong engine turns the same bytes into a parse error

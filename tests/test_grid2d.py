@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ class TestPolarizeExact:
         g2 = GridFunction.from_points(2, 1.0, {(-2, 0): 1.0})
         hp2 = LatticeHyperplane(HyperplaneKind.X, 1.5)
         assert polarize_grid_exact(g2, hp2) is g2
+
+    @pytest.mark.parametrize("kind", list(HyperplaneKind))
+    def test_offsets_far_outside_the_array(self, kind):
+        # round(2*s) of such offsets does not fit numpy's int64; the result
+        # must be that of a finite offset past the array.
+        g = GridFunction(2, 1.0, np.ones((5, 5)))
+        assert polarize_grid_exact(g, LatticeHyperplane(kind, 1e300)) is g
+        assert polarize_grid_exact(g, LatticeHyperplane(kind, 101)) is g
+        for s in (-1e300, -101.0):
+            with pytest.raises(GridFitError, match=re.escape(f"s={s!r}")):
+                polarize_grid_exact(g, LatticeHyperplane(kind, s))
 
     def test_orbit_oracle(self):
         rng = random.Random(6)

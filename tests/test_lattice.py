@@ -58,6 +58,13 @@ class TestLatticeFunction:
     def test_equality(self):
         assert LatticeFunction({1: 2.0}) == LatticeFunction([(1, 2.0), (5, 0.0)])
 
+    @pytest.mark.parametrize("pairs", [
+        [(1, 2.0), (1, 3.0)], [(1, 2.0), (1, 0.0)], [(1, 0.0), (1, 2.0)],
+    ])
+    def test_repeated_site_rejected(self, pairs):
+        with pytest.raises(ValueError, match="site 1"):
+            LatticeFunction(pairs)
+
 
 class TestRearrange:
     def test_sort_and_assign(self):
@@ -216,3 +223,5 @@ class TestCsv:
             loads("site,value\n1,2,3\n")
         with pytest.raises(ParseError):
             loads("site,value\n1,-2\n")
+        with pytest.raises(ParseError):
+            loads("site,value\n1,2\n1,3\n")

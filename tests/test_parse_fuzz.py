@@ -4,7 +4,7 @@ encodings) ends in a value or in ParseError, never in another exception."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rearrange_lab import grid2d, lattice, series, step1d
+from rearrange_lab import cli, grid2d, lattice, series, step1d
 from rearrange_lab.errors import ParseError
 from rearrange_lab.grid2d import LatticeHyperplane
 from rearrange_lab.halfspace import Halfspace
@@ -33,6 +33,7 @@ CSV_TEXT = st.one_of(
 BY_TEXT = st.one_of(
     st.builds("nu={},d={}".format, NUMBER, NUMBER),
     st.builds("dir={},s={}".format, st.sampled_from("XYUDxyq"), NUMBER),
+    st.builds("c={}".format, NUMBER),
     st.text(max_size=20),
 )
 
@@ -58,12 +59,15 @@ def test_csv_loads(parse, text):
     lambda text: Halfspace.parse(text, 1),
     lambda text: Halfspace.parse(text, 2),
     LatticeHyperplane.parse,
-], ids=["halfspace-1d", "halfspace-2d", "lattice-hyperplane"])
+    lambda text: cli._parse_geometry("lattice", text),
+], ids=["halfspace-1d", "halfspace-2d", "lattice-hyperplane",
+        "lattice-involution"])
 @settings(deadline=None)
 @given(text=BY_TEXT)
 @example(text="dir=Y,s=inf")
 @example(text="dir=X,s=8.98846567431158e+307")
 @example(text="nu=1,d=-1e400")
 @example(text="nu=1e400,d=1")
+@example(text="c")
 def test_by_parsers(parse, text):
     _value_or_parse_error(parse, text)
