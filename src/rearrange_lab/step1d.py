@@ -12,7 +12,7 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from bisect import bisect_right
 
 import numpy as np
 
@@ -41,9 +41,13 @@ class StepFunction:
         else:
             if b.size != v.size + 1:
                 raise ValueError("need exactly len(values)+1 breakpoints")
+            # In Python floats, so that an overflow raises no numpy warning;
+            # with increasing breakpoints this also makes each one finite.
+            if not math.isfinite(float(b[-1]) - float(b[0])):
+                raise ValueError("breakpoints must span a finite length")
             if not np.all(np.diff(b) > 0):
                 raise ValueError("breakpoints must be strictly increasing")
-            if np.any(v < 0) or not np.all(np.isfinite(v)) or not np.all(np.isfinite(b)):
+            if np.any(v < 0) or not np.all(np.isfinite(v)):
                 raise ValueError("values must be finite and nonnegative")
             b, v = _canonicalize(b, v)
         b.setflags(write=False)
@@ -72,24 +76,6 @@ class StepFunction:
     def indicator(cls, a: float, b: float, height: float = 1.0) -> "StepFunction":
         """height * 1_{[a, b)}."""
         return cls([a, b], [height])
-
-    @classmethod
-    def from_intervals(cls, intervals: Iterable[tuple]) -> "StepFunction":
-        """Build from disjoint (a, b, value) pieces; gaps are filled with 0."""
-        pieces = sorted((float(a), float(b), float(v)) for a, b, v in intervals)
-        breakpoints = []
-        values = []
-        for a, b, v in pieces:
-            if breakpoints and a < breakpoints[-1]:
-                raise ValueError("intervals overlap")
-            if breakpoints and a > breakpoints[-1]:
-                values.append(0.0)
-                breakpoints.append(a)
-            elif not breakpoints:
-                breakpoints.append(a)
-            values.append(v)
-            breakpoints.append(b)
-        return cls(breakpoints, values)
 
     @property
     def is_zero(self) -> bool:
@@ -155,8 +141,10 @@ def _canonicalize(b: np.ndarray, v: np.ndarray):
 
 def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     """Two-point rearrangement of u across h: the larger of u(x), u(sigma(x))
-    goes to the h side, the smaller to the other side.  Exact on the merged
-    breakpoint grid; equimeasurable with u."""
+    goes to the h side, the smaller to the other side.  Exact on the grid of
+    u's breakpoints and their mirror images; equimeasurable with u.  Returns
+    u itself when nothing changes.  Raises ValueError when a mirror image is
+    beyond the float range and the support does not lie in h."""
     if h.dimension != 1:
         raise ValueError("step functions are one-dimensional")
     if u.is_zero:
@@ -166,69 +154,37 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     c2 = 2.0 * c
     b = u.breakpoints.tolist()
     uvals = u.values.tolist()
-    nb = len(b)
-    refl = [c2 - x for x in reversed(b)]
-    # Merge the sorted breakpoint lists, dropping exact duplicates.
-    grid = []
-    i = j = 0
-    while i < nb and j < nb:
-        x, y = b[i], refl[j]
-        if x < y:
-            grid.append(x)
-            i += 1
-        elif y < x:
-            grid.append(y)
-            j += 1
-        else:
-            grid.append(x)
-            i += 1
-            j += 1
-    grid.extend(b[i:])
-    grid.extend(refl[j:])
-    ncells = len(grid) - 1
-    # u at the cell midpoints (pointer walk; grid contains every breakpoint).
-    direct = [0.0] * ncells
-    k = 0
-    for m in range(ncells):
-        mid = 0.5 * (grid[m] + grid[m + 1])
-        while k < nb and b[k] <= mid:
-            k += 1
-        if 1 <= k <= nb - 1:
-            direct[m] = uvals[k - 1]
-    # u at the mirrored midpoints; sigma reverses order, so walk backwards.
-    mirrored = [0.0] * ncells
-    k = 0
-    for m in range(ncells - 1, -1, -1):
-        mid = c2 - 0.5 * (grid[m] + grid[m + 1])
-        while k < nb and b[k] <= mid:
-            k += 1
-        if 1 <= k <= nb - 1:
-            mirrored[m] = uvals[k - 1]
-    # Assemble with inline canonicalization (skip repeats of the last value).
-    out_b = []
-    out_v = []
-    for m in range(ncells):
-        mid = 0.5 * (grid[m] + grid[m + 1])
+    if math.isinf(c2 - b[0]) or math.isinf(c2 - b[-1]):
+        # Some mirror image is beyond the float range.  If the support lies
+        # in h nothing moves; otherwise the result is not representable.
+        if (b[-1] <= c) if nu > 0 else (b[0] >= c):
+            return u
+        raise ValueError("the mirror image of the support across "
+                         f"{h.encode()} is beyond the float range")
+    grid = sorted({*b, *(c2 - x for x in b)})
+    # u(x) is padded[count of breakpoints <= x].  Cell midpoints increase
+    # and their mirror images decrease, so each search narrows the next.
+    padded = [0.0, *uvals, 0.0]
+    k, j = 0, len(b)
+    # Runs of equal value, opened by an implicit zero run; leading and
+    # trailing zero cells merge into the zero runs at either end.
+    out_b, out_v = [], [0.0]
+    for lo, hi in zip(grid, grid[1:]):
+        mid = 0.5 * lo + 0.5 * hi   # lo + hi may overflow
+        k = bisect_right(b, mid, k)
+        j = bisect_right(b, c2 - mid, 0, j)
+        a, r = padded[k], padded[j]
         in_h = mid <= c if nu > 0 else mid >= c
-        a, r = direct[m], mirrored[m]
         val = (a if a >= r else r) if in_h else (r if a >= r else a)
-        if out_v and out_v[-1] == val:
-            continue
-        out_b.append(grid[m])
-        out_v.append(val)
-    out_b.append(grid[ncells])
-    while out_v and out_v[-1] == 0.0:
-        out_v.pop()
-        out_b.pop()
-    lo = 0
-    while lo < len(out_v) and out_v[lo] == 0.0:
-        lo += 1
-    out_b = out_b[lo:]
-    out_v = out_v[lo:]
+        if val != out_v[-1]:
+            out_b.append(lo)
+            out_v.append(val)
+    if out_v[-1]:
+        out_b.append(grid[-1])
+        out_v.append(0.0)
+    out_v = out_v[1:-1]
     if out_v == uvals and out_b == b:
         return u
-    if not out_v:
-        return StepFunction.zero()
     return StepFunction._from_canonical(out_b, out_v)
 
 
@@ -342,10 +298,17 @@ def dumps(u: StepFunction) -> str:
                          [u.breakpoints.tolist(), u.values.tolist()])
 
 
+def _from_columns(b: list, v: list) -> StepFunction:
+    if v and v[-1] is None:
+        v = v[:-1]
+    if None in v:
+        raise ValueError("only the last row may have an empty value")
+    return StepFunction(b, v)
+
+
 def loads(text: str) -> StepFunction:
-    return _textio.loads(
-        text, CSV_HEADER, (float, _textio.optional(float)),
-        lambda b, v: StepFunction(b, [x for x in v if x is not None]))
+    return _textio.loads(text, CSV_HEADER, (float, _textio.optional(float)),
+                         _from_columns)
 
 
 def write_csv(u: StepFunction, path) -> None:

@@ -99,6 +99,23 @@ class TestPolarize:
                      "--by", by]) == code
         assert out.exists() == (code == 0)
 
+    def test_output_with_repeated_mirror_image_reads_back(self, tmp_path):
+        # 0 and 1e-20 reflect across 0.5 to the same float
+        src = tmp_path / "u.csv"
+        out = tmp_path / "o.csv"
+        src.write_text("breakpoint,value\n0,3\n1e-20,1\n1,2\n2,\n")
+        assert main(["polarize", "--input", str(src), "--output", str(out),
+                     "--by", "nu=1,d=0.5"]) == 0
+        assert main(["rearrange", "--input", str(out),
+                     "--output", str(tmp_path / "r.csv")]) == 0
+
+    def test_mirror_image_beyond_the_float_range_is_exit_2(self, step_file,
+                                                           tmp_path):
+        out = tmp_path / "o.csv"
+        assert main(["polarize", "--input", str(step_file),
+                     "--output", str(out), "--by", "nu=1,d=-1e308"]) == 2
+        assert not out.exists()
+
     def test_involution_without_value_is_exit_2(self, lattice_file, tmp_path,
                                                 capsys):
         assert main(["polarize", "--input", str(lattice_file),
@@ -146,6 +163,17 @@ class TestRearrange:
         src.write_text("site,value\n1,2\n1,3\n")
         assert main(["rearrange", "--input", str(src),
                      "--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["polarize", "--by", "nu=1,d=0"],
+                                      ["rearrange"],
+                                      ["converge", "--n-max", "3"]])
+    def test_span_beyond_largest_double_is_exit_2(self, tmp_path, args):
+        src = tmp_path / "u.csv"
+        out = tmp_path / "o.csv"
+        src.write_text("breakpoint,value\n-1e308,1\n1e308,\n")
+        assert main([args[0], "--input", str(src), "--output", str(out),
+                     *args[1:]]) == 2
         assert not out.exists()
 
     def test_engine_inference_vs_override(self, lattice_file, tmp_path):

@@ -58,7 +58,7 @@ def _roundtrip(dumps, loads, x):
 
 @settings(deadline=None)
 @given(u=step_functions())
-@example(u=StepFunction([-HUGE / 2, -TINY, TINY, HUGE], [HUGE, TINY, 1.0]))
+@example(u=StepFunction([-TINY, TINY, 1.0, HUGE], [HUGE, TINY, 1.0]))
 def test_step1d(u):
     _roundtrip(step1d.dumps, step1d.loads, u)
 

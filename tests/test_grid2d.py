@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rearrange_lab import generators
 from rearrange_lab.errors import ParseError
@@ -156,6 +157,52 @@ class TestPolarizeExact:
                     a, b = g.value(i, j), g.value(ri, rj)
                     want = max(a, b) if hp.contains_index(i, j) else min(a, b)
                     assert out.value(i, j) == want
+
+
+# Unlike the generators: values that are not small integers, supports that
+# fill the array, and offsets far past it.
+VALUE = st.floats(min_value=0, allow_infinity=False)
+# Below 1e3 a rounding step of a mass term stays under the 1e-12 tolerance.
+MASS_VALUE = st.floats(min_value=0, max_value=1e3)
+
+
+@st.composite
+def grid_functions(draw, values=VALUE):
+    m = draw(st.integers(0, 3))
+    n = 2 * m + 1
+    cells = draw(st.lists(st.one_of(st.just(0.0), values),
+                          min_size=n * n, max_size=n * n))
+    return GridFunction(m, draw(st.floats(0.05, 2.0)), np.reshape(cells, (n, n)))
+
+
+@st.composite
+def hyperplanes(draw):
+    kind = draw(st.sampled_from(list(HyperplaneKind)))
+    k = draw(st.one_of(st.integers(-16, 16), st.integers(-10**20, 10**20)))
+    axis = kind in (HyperplaneKind.X, HyperplaneKind.Y)
+    return LatticeHyperplane(kind, k / 2 if axis else k)
+
+
+class TestPolarizeExactProperties:
+    @given(grid_functions(), hyperplanes())
+    @settings(deadline=None)
+    def test_idempotent_and_equimeasurable(self, g, hp):
+        try:
+            once = polarize_grid_exact(g, hp)
+        except GridFitError:
+            return
+        assert polarize_grid_exact(once, hp) is once
+        assert np.array_equal(once.sorted_values(), g.sorted_values())
+
+    @given(grid_functions(values=MASS_VALUE), hyperplanes())
+    @settings(deadline=None)
+    def test_mass_never_decreases_when_origin_inside(self, g, hp):
+        assume(hp.contains_origin())
+        try:
+            out = polarize_grid_exact(g, hp)
+        except GridFitError:
+            return
+        assert gaussian_cell_mass(out) >= gaussian_cell_mass(g) - 1e-12
 
 
 class TestPolarizeInterp:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rearrange_lab import generators
 from rearrange_lab.errors import ParseError
@@ -182,6 +183,51 @@ class TestFunctionals:
     def test_weighted_mass_value(self):
         u = LatticeFunction({0: 1.0, 1: 1.0, -1: 1.0})
         assert math.isclose(spiral_weighted_mass(u), 1 + 0.5 + 1 / 3)
+
+
+# Unlike the generators: values that are not small integers, and sites and
+# centers far beyond +-60.
+SITE = st.one_of(st.integers(-60, 60), st.integers(-10**20, 10**20))
+VALUE = st.floats(min_value=0, allow_infinity=False)
+# The spiral mass rounds each term, so a swap of values an ulp apart can
+# lower it by an ulp of a term; below 1e3 that stays under the 1e-12
+# tolerance of the scheme's invariant check.
+MASS_VALUE = st.floats(min_value=0, max_value=1e3)
+
+
+def lattice_functions(sites=SITE, values=VALUE):
+    return st.dictionaries(sites, values, max_size=12).map(LatticeFunction)
+
+
+def centers(u: LatticeFunction):
+    """Any center, or one that pairs two support sites."""
+    sums = [x + y for x in u.support() for y in u.support()]
+    return st.one_of(st.integers(-2 * 10**20, 2 * 10**20),
+                     *([st.sampled_from(sums)] if sums else []))
+
+
+class TestProperties:
+    @given(lattice_functions(), st.data())
+    @settings(deadline=None)
+    def test_polarization_idempotent_and_equimeasurable(self, u, data):
+        c = data.draw(centers(u))
+        once = polarize_involution(u, c)
+        assert polarize_involution(once, c) is once
+        assert once.sorted_values() == u.sorted_values()
+
+    @given(lattice_functions(values=MASS_VALUE), st.data())
+    @settings(deadline=None)
+    def test_polarization_never_lowers_spiral_mass(self, u, data):
+        c = data.draw(centers(u))
+        out = polarize_involution(u, c)
+        assert spiral_weighted_mass(out) >= spiral_weighted_mass(u) - 1e-12
+
+    # Sites within +-300: the scheme needs about max|site| sweeps.
+    @given(lattice_functions(sites=st.integers(-300, 300)))
+    @settings(deadline=None)
+    def test_two_involution_fixed_point_is_the_rearrangement(self, u):
+        fixed, _ = two_involution_scheme(u)
+        assert fixed == rearrange_lattice(u)
 
 
 class TestScheduleScheme:

@@ -60,6 +60,8 @@ class TestStepFunction:
             StepFunction([0, 1], [-1.0])
         with pytest.raises(ValueError):
             StepFunction([0, 1], [float("nan")])
+        with pytest.raises(ValueError):
+            StepFunction([-1e308, 1e308], [1.0])       # span overflows
 
     def test_half_open_evaluation(self):
         u = StepFunction.indicator(1, 2)
@@ -74,16 +76,6 @@ class TestStepFunction:
         many = u.evaluate_many(xs)
         for x, v in zip(xs, many):
             assert u.evaluate(float(x)) == v
-
-    def test_from_intervals_fills_gaps(self):
-        u = StepFunction.from_intervals([(0, 1, 2.0), (3, 4, 1.0)])
-        assert u.evaluate(2.0) == 0.0
-        assert u.evaluate(0.5) == 2.0
-        assert u.evaluate(3.5) == 1.0
-
-    def test_from_intervals_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            StepFunction.from_intervals([(0, 2, 1.0), (1, 3, 1.0)])
 
     def test_equality_and_hash(self):
         a = StepFunction([0, 1], [2.0])
@@ -106,6 +98,18 @@ class TestPolarize:
     def test_zero_function(self):
         z = StepFunction.zero()
         assert polarize(z, Halfspace.line(1, 0.5)) is z
+
+    def test_midpoint_near_the_largest_double(self):
+        u = StepFunction([1e308, 1.7e308], [1.0])
+        assert (polarize(u, Halfspace.line(1, 0.0))
+                == StepFunction([-1.7e308, -1e308], [1.0]))
+        assert polarize(u, Halfspace.line(-1, 0.0)) is u
+
+    def test_mirror_image_beyond_the_float_range(self):
+        u = StepFunction.indicator(0, 1)
+        assert polarize(u, Halfspace.line(1, 1e308)) is u     # support in h
+        with pytest.raises(ValueError):
+            polarize(u, Halfspace.line(1, -1e308))
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
@@ -160,7 +164,7 @@ class TestPolarize:
 class TestRearrange:
     def test_two_piece_example(self):
         # 2 on [0,1), 1 on [2,4): layers of measure 1 and 3
-        u = StepFunction.from_intervals([(0, 1, 2.0), (2, 4, 1.0)])
+        u = StepFunction([0, 1, 2, 4], [2.0, 0.0, 1.0])
         out = rearrange(u)
         assert out.breakpoints.tolist() == [-1.5, -0.5, 0.5, 1.5]
         assert out.values.tolist() == [1.0, 2.0, 1.0]
@@ -216,7 +220,7 @@ class TestFunctionals:
             lp_norm(StepFunction.indicator(0, 1), 0.5)
 
     def test_superlevel_measures(self):
-        u = StepFunction.from_intervals([(0, 1, 2.0), (2, 4, 1.0)])
+        u = StepFunction([0, 1, 2, 4], [2.0, 0.0, 1.0])
         assert superlevel_measure(u, 0.0) == 3.0
         assert superlevel_measure(u, 1.0) == 1.0
         assert superlevel_measure(u, 2.0) == 0.0
@@ -272,3 +276,5 @@ class TestCsv:
             loads("breakpoint,value\n0,x\n1,\n")
         with pytest.raises(ParseError):
             loads("breakpoint,value\n0,-1\n1,\n")      # negative value
+        with pytest.raises(ParseError):
+            loads("breakpoint,value\n0,1\n1,\n2,3\n")  # empty value mid-table
