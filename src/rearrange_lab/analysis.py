@@ -16,7 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .halfspace import Halfspace, Schedule
-from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
+from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
+                     finite_fsum)
 from .step1d import (
     StepFunction,
     deviation_measure,
@@ -93,13 +94,12 @@ class RadialWeight:
 
 def weighted_mass(u: StepFunction, w: RadialWeight) -> float:
     """Integral of u * w; exact for the triangular weight, error-function
-    quadrature (absolute error well below 1e-12) for the Gaussian."""
-    if u.is_zero:
-        return 0.0
-    b = u.breakpoints
-    return math.fsum(
-        v * (w.antiderivative(b[i + 1]) - w.antiderivative(b[i]))
-        for i, v in enumerate(u.values))
+    quadrature (absolute error well below 1e-12) for the Gaussian.
+    ValueError when the mass leaves the float range."""
+    # Python floats, so that an overflow raises no numpy warning.
+    f = [w.antiderivative(x) for x in u.breakpoints.tolist()]
+    return finite_fsum((v * (hi - lo) for v, lo, hi
+                        in zip(u.values.tolist(), f, f[1:])), "weighted mass")
 
 
 def polarization_gap(u: StepFunction, h: Halfspace, w: RadialWeight) -> float:

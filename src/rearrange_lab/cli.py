@@ -16,7 +16,6 @@ from . import _textio, analysis, generators, grid2d, lattice, step1d
 from .errors import ParseError
 from .grid2d import Axis, GridFitError, HyperplaneKind, LatticeHyperplane
 from .halfspace import Halfspace, Schedule
-from .lattice import site_of_rank
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -102,7 +101,7 @@ def cmd_converge(args) -> int:
             u, schedule, n_max=args.n_max, p=args.p, weight=weight,
             eps=args.eps, order=args.order)
     elif engine == "lattice":
-        centers = [site_of_rank(r) for r in range(args.n_max)]
+        centers = lattice.spiral_sites(args.n_max)
         series = lattice.schedule_scheme_lattice(
             u, centers, n_max=args.n_max, p=args.p, eps=args.eps)
     else:
@@ -182,6 +181,8 @@ def _run_suite(name, cases, seed):
 
 
 def cmd_check(args) -> int:
+    if args.cases < 1:
+        raise ParseError("cases must be >= 1")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:

@@ -13,23 +13,20 @@ import operator
 from typing import Iterable, Mapping
 
 from . import _textio
-from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
+from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
+                     finite_fsum)
 
 
 def rank(x: int) -> int:
     """Position of site x in the spiral order; a bijection Z -> N."""
-    if x > 0:
-        return 2 * x - 1
-    return -2 * x
+    return 2 * x - 1 if x > 0 else -2 * x
 
 
 def site_of_rank(r: int) -> int:
     """Inverse of :func:`rank`."""
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    if r % 2 == 1:
-        return (r + 1) // 2
-    return -(r // 2)
+    return (r + 1) // 2 if r % 2 else -(r // 2)
 
 
 def spiral_sites(count: int) -> list[int]:
@@ -50,8 +47,7 @@ class LatticeFunction:
         items = mapping.items() if isinstance(mapping, Mapping) else mapping
         values, zeros = {}, set()
         for site, value in items:
-            site = int(site)
-            value = float(value)
+            site, value = int(site), float(value)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"value at site {site} must be finite and >= 0")
             if site in values or site in zeros:
@@ -61,6 +57,13 @@ class LatticeFunction:
             else:
                 zeros.add(site)
         self._values = values
+
+    @classmethod
+    def _checked(cls, values: dict) -> "LatticeFunction":
+        """Wrap a dict of int sites to finite values > 0 as it is."""
+        out = cls.__new__(cls)
+        out._values = values
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -96,70 +99,76 @@ class LatticeFunction:
 def rearrange_lattice(u: LatticeFunction) -> LatticeFunction:
     """Spiral-order decreasing rearrangement: j-th largest value goes to the
     site of rank j-1."""
-    values = u.sorted_values()
-    return LatticeFunction((site_of_rank(r), v) for r, v in enumerate(values))
+    return LatticeFunction._checked(
+        {site_of_rank(r): v for r, v in enumerate(u.sorted_values())})
 
 
 def polarize_involution(u: LatticeFunction, c: int) -> LatticeFunction:
     """Polarize by the involution i(x) = c - x: for each orbit {x, i(x)} the
     larger value goes to the spiral-smaller site; fixed points are
-    unchanged."""
+    unchanged.  Returns u itself when nothing moves."""
     c = operator.index(c)   # a float center would put values off the lattice
-    values = dict(u._values)
-    seen = set()
-    for x in list(values):
-        if x in seen:
-            continue
-        y = c - x
-        seen.add(x)
-        seen.add(y)
-        if x == y:
-            continue
-        a = values.get(x, 0.0)
-        b = values.get(y, 0.0)
-        first, second = (x, y) if rank(x) < rank(y) else (y, x)
-        hi, lo = (a, b) if a >= b else (b, a)
-        for site, val in ((first, hi), (second, lo)):
-            if val > 0:
-                values[site] = val
-            else:
-                values.pop(site, None)
-    if values == u._values:
-        return u
-    # Only u's checked values moved, to distinct sites: skip revalidation.
-    out = LatticeFunction.__new__(LatticeFunction)
-    out._values = values
-    return out
+    # rank(x) = 2|x - 1/4| - 1/2, so x is spiral-smaller than y = c - x
+    # iff it is nearer to 1/4, that is iff y - x has the sign of 2c - 1.
+    side = 2 * c - 1
+    values = u._values
+    out = None   # copied at the first move
+    for x, v in values.items():
+        y = c - x   # a fixed point x == y fails both tests below
+        if (y - x) * side > 0:
+            w = values.get(y, 0.0)
+            if w > v:
+                if out is None:
+                    out = dict(values)
+                out[x], out[y] = w, v
+        elif y not in values:   # else the orbit is handled from y
+            if out is None:
+                out = dict(values)
+            out[y] = out.pop(x)
+    return u if out is None else LatticeFunction._checked(out)
 
 
-def two_involution_scheme(u: LatticeFunction, max_sweeps: int = 10_000):
+def two_involution_scheme(u: LatticeFunction, max_sweeps: int | None = None):
     """Iterate the polarization pair (x -> -x, x -> 1 - x) to its common
     fixed point, which equals rearrange_lattice(u).
 
     Returns (fixed point, sweeps used).  Raises ConvergenceError if the
     budget is exhausted.
+
+    The default budget, ceil((R + 1) / 2) + 1 sweeps with R the largest
+    spiral rank in the support of u (R = 0 for the zero function), always
+    suffices.  In rank order, x -> -x pairs the positions (2k - 1, 2k) and
+    x -> 1 - x pairs (2k - 2, 2k - 1), k >= 1, and each polarization moves
+    the larger value of a pair to the lower rank.  A sweep is therefore two
+    phases of odd-even transposition sort into nonincreasing order.  Every
+    value sits at positions 0..R and a zero never passes a positive value,
+    so the sort acts on those R + 1 positions and finishes within R + 1
+    phases (Knuth, TAOCP vol. 3, 5.3.4), that is ceil((R + 1) / 2) sweeps,
+    after which one more sweep sees that nothing moves.
+
+    A sweep that moves anything strictly raises the exact spiral mass
+    sum u(x) / (1 + rank x), so it cannot return an equal function: the
+    scheme stops at the first sweep whose result is its input object.
     """
+    if max_sweeps is None:   # ceil((R + 1) / 2) + 1
+        max_sweeps = max(map(rank, u._values), default=0) // 2 + 2
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     current = u
     for sweep in range(1, max_sweeps + 1):
         step = polarize_involution(polarize_involution(current, 0), 1)
-        if step == current:
+        if step is current:
             return current, sweep
         current = step
     raise ConvergenceError(f"no fixed point within {max_sweeps} sweeps")
 
 
-def lattice_lp_norm(u: LatticeFunction, p: float) -> float:
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return math.fsum(v ** p for _, v in u.items()) ** (1.0 / p)
-
-
 def spiral_weighted_mass(u: LatticeFunction) -> float:
     """Sum of u(x) / (1 + rank(x)); strictly decreasing weight along the
-    spiral, so it never decreases under polarization."""
-    return math.fsum(v / (1 + rank(x)) for x, v in u.items())
+    spiral, so it never decreases under polarization.  ValueError when the
+    sum leaves the float range."""
+    return finite_fsum((v / (1 + rank(x)) for x, v in u._values.items()),
+                       "spiral weighted mass")
 
 
 def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
@@ -178,8 +187,8 @@ def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
 
 
 def _lattice_record(n, current, target, p, eps):
-    sites = set(current.support()) | set(target.support())
-    diffs = [abs(current.value(x) - target.value(x)) for x in sorted(sites)]
+    sites = current._values.keys() | target._values.keys()
+    diffs = [abs(current.value(x) - target.value(x)) for x in sites]
     return ConvergenceRecord(
         n=n,
         lp_error=math.fsum(d ** p for d in diffs) ** (1.0 / p) if diffs else 0.0,

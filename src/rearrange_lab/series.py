@@ -7,6 +7,7 @@ one row per recorded iteration (table rules in ``_textio``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import _textio
@@ -65,6 +66,18 @@ class ConvergenceSeries:
     @classmethod
     def read_csv(cls, path) -> "ConvergenceSeries":
         return cls.loads(_textio.read_text(path))
+
+
+def finite_fsum(terms, what: str) -> float:
+    """math.fsum(terms), or ValueError naming `what` when the sum leaves
+    the float range."""
+    try:
+        total = math.fsum(terms)
+        if math.isfinite(total):
+            return total
+    except OverflowError:   # finite terms whose partial sums overflow
+        pass
+    raise ValueError(f"{what} overflows the float range")
 
 
 def _triangular_scheme(start, steps, n_max, apply, record, target=None,

@@ -238,6 +238,21 @@ class TestConverge:
                      "--n-max", "3"]) == 2
         assert not out.exists()
 
+    # pytest turns warnings into errors, so a numpy overflow warning fails
+    # these as well.
+    @pytest.mark.parametrize("text, n_max", [
+        ("site,value\n0,1e308\n1,1e308\n-1,1e308\n", "3"),
+        ("breakpoint,value\n0,1e308\n1,\n", "2"),
+    ])
+    def test_weighted_mass_beyond_the_float_range_is_exit_2(self, tmp_path,
+                                                            text, n_max):
+        src = tmp_path / "u.csv"
+        out = tmp_path / "s.csv"
+        src.write_text(text)
+        assert main(["converge", "--input", str(src), "--output", str(out),
+                     "--n-max", n_max]) == 2
+        assert not out.exists()
+
     def test_bad_weight_is_exit_2(self, step_file, tmp_path):
         assert main(["converge", "--input", str(step_file),
                      "--output", str(tmp_path / "s.csv"),
@@ -264,6 +279,11 @@ class TestCheck:
         assert main(["check", "--suite", "contraction", "--cases", "1",
                      "--seed", seed]) == 0
         assert "contraction: 1 cases, pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_case_count_below_one_is_usage_error(self, capsys, cases):
+        assert main(["check", "--cases", cases]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestSchedule:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from rearrange_lab.lattice import (
     ConvergenceError,
     LatticeFunction,
     dumps,
-    lattice_lp_norm,
     loads,
     polarize_involution,
     rank,
@@ -158,8 +158,14 @@ class TestTwoInvolutionScheme:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(ConvergenceError):
             two_involution_scheme(LatticeFunction({40: 1.0}), max_sweeps=3)
+        with pytest.raises(ConvergenceError):   # one below the derived budget
+            two_involution_scheme(LatticeFunction({5: 1.0}), max_sweeps=5)
         with pytest.raises(ValueError):
             two_involution_scheme(LatticeFunction({0: 1.0}), max_sweeps=0)
+
+
+def lp_norm(u: LatticeFunction, p: float) -> float:
+    return math.fsum(v ** p for v in u.sorted_values()) ** (1.0 / p)
 
 
 class TestFunctionals:
@@ -169,9 +175,8 @@ class TestFunctionals:
             u = generators.random_lattice_function(rng)
             out = polarize_involution(u, rng.randint(-10, 10))
             for p in (1.0, 2.0):
-                assert lattice_lp_norm(out, p) == lattice_lp_norm(u, p)
-            assert lattice_lp_norm(rearrange_lattice(u), 1.0) == \
-                lattice_lp_norm(u, 1.0)
+                assert lp_norm(out, p) == lp_norm(u, p)
+            assert lp_norm(rearrange_lattice(u), 1.0) == lp_norm(u, 1.0)
 
     def test_weighted_mass_monotone(self):
         rng = random.Random(7)
@@ -228,6 +233,74 @@ class TestProperties:
     def test_two_involution_fixed_point_is_the_rearrangement(self, u):
         fixed, _ = two_involution_scheme(u)
         assert fixed == rearrange_lattice(u)
+
+    # A single site at rank R is the slowest input for its R, so mix those
+    # in; the explicit budget keeps the check apart from the default one.
+    @given(st.one_of(lattice_functions(sites=st.integers(-300, 300)),
+                     st.integers(-300, 300).map(
+                         lambda x: LatticeFunction({x: 1.0}))))
+    @settings(deadline=None)
+    def test_sweeps_within_the_derived_bound(self, u):
+        top = max(map(rank, u.support()), default=0)
+        _, sweeps = two_involution_scheme(u, max_sweeps=10_000)
+        assert sweeps <= math.ceil((top + 1) / 2) + 1
+
+
+def reference_polarize_involution(u: LatticeFunction,
+                                  c: int) -> LatticeFunction:
+    """The dict loop polarize_involution replaced: it copies the dict,
+    visits every orbit of the support once through a seen set, rewrites
+    both sites, and returns u when the result compares equal to it."""
+    c = operator.index(c)
+    values = dict(u._values)
+    seen = set()
+    for x in list(values):
+        if x in seen:
+            continue
+        y = c - x
+        seen.add(x)
+        seen.add(y)
+        if x == y:
+            continue
+        a = values.get(x, 0.0)
+        b = values.get(y, 0.0)
+        first, second = (x, y) if rank(x) < rank(y) else (y, x)
+        hi, lo = (a, b) if a >= b else (b, a)
+        for site, val in ((first, hi), (second, lo)):
+            if val > 0:
+                values[site] = val
+            else:
+                values.pop(site, None)
+    if values == u._values:
+        return u
+    return LatticeFunction(values)
+
+
+def reference_two_involution_scheme(u: LatticeFunction, max_sweeps=10_000):
+    current = u
+    for sweep in range(1, max_sweeps + 1):
+        step = reference_polarize_involution(
+            reference_polarize_involution(current, 0), 1)
+        if step == current:
+            return current, sweep
+        current = step
+    raise ConvergenceError(f"no fixed point within {max_sweeps} sweeps")
+
+
+class TestReference:
+    @given(lattice_functions(), st.data())
+    @settings(deadline=None)
+    def test_polarization_matches_the_reference(self, u, data):
+        c = data.draw(centers(u))
+        out = polarize_involution(u, c)
+        ref = reference_polarize_involution(u, c)
+        assert out == ref
+        assert (out is u) == (ref is u)
+
+    @given(lattice_functions(sites=st.integers(-300, 300)))
+    @settings(deadline=None)
+    def test_scheme_matches_the_reference(self, u):
+        assert two_involution_scheme(u) == reference_two_involution_scheme(u)
 
 
 class TestScheduleScheme:
