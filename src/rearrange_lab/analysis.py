@@ -17,7 +17,7 @@ import numpy as np
 
 from .halfspace import Halfspace, Schedule
 from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
-                     finite_fsum)
+                     finite_result)
 from .step1d import (
     StepFunction,
     deviation_measure,
@@ -98,8 +98,9 @@ def weighted_mass(u: StepFunction, w: RadialWeight) -> float:
     ValueError when the mass leaves the float range."""
     # Python floats, so that an overflow raises no numpy warning.
     f = [w.antiderivative(x) for x in u.breakpoints.tolist()]
-    return finite_fsum((v * (hi - lo) for v, lo, hi
-                        in zip(u.values.tolist(), f, f[1:])), "weighted mass")
+    return finite_result(lambda: math.fsum(
+        v * (hi - lo) for v, lo, hi in zip(u.values.tolist(), f, f[1:])),
+        "weighted mass")
 
 
 def polarization_gap(u: StepFunction, h: Halfspace, w: RadialWeight) -> float:

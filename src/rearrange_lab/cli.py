@@ -9,6 +9,8 @@ violation during a convergence run.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import random
 import sys
 
@@ -204,7 +206,17 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once: parse_args keeps no state in it."""
+
+    def finite(text: str) -> float:
+        # argparse reports the ValueError as "invalid finite value"
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(text)
+        return value
+
     parser = argparse.ArgumentParser(
         prog="rearrange-lab",
         description="Polarization and symmetric-rearrangement experiments.")
@@ -232,11 +244,11 @@ def _build_parser():
     p = sub.add_parser("converge", help="run the triangular iterated-"
                        "polarization scheme and write the series CSV")
     io_flags(p)
-    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--p", type=finite, default=1.0)
     p.add_argument("--rho", type=float, default=1.0,
                    help="schedule offset bound")
     p.add_argument("--n-max", type=int, default=60)
-    p.add_argument("--eps", type=float, default=0.01,
+    p.add_argument("--eps", type=finite, default=0.01,
                    help="level for the deviation-measure column")
     p.add_argument("--weight", default="triangular:16",
                    help="gaussian | triangular:R")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from . import _textio
 from .errors import ParseError
 from .halfspace import Halfspace
-from .series import ConvergenceRecord, ConvergenceSeries, _triangular_scheme
+from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
+                     finite_result)
 
 _SNAP_TOL = 1e-9   # cells; interpolation snaps to centers this close
 
@@ -146,6 +148,14 @@ class GridFunction:
         self.values = v
 
     @classmethod
+    def _checked(cls, m: int, h: float, values: np.ndarray) -> "GridFunction":
+        """Wrap a float array of valid values (moved from a GridFunction of
+        the same m and h) as it is, read-only."""
+        out = cls.__new__(cls)
+        out.m, out.h, out.values = m, h, _read_only(values)
+        return out
+
+    @classmethod
     def zeros(cls, m: int, h: float = 1.0) -> "GridFunction":
         return cls(m, h, np.zeros((2 * m + 1, 2 * m + 1)))
 
@@ -179,9 +189,18 @@ class GridFunction:
         return f"GridFunction(m={self.m}, h={self.h})"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Arrays that depend only on the grid size are built once per size and
+# shared by every caller, so they are read-only.
+@lru_cache(maxsize=8)
 def _index_grids(m: int):
     rng = np.arange(-m, m + 1)
-    return np.meshgrid(rng, rng, indexing="xy")   # I varies along columns
+    # I varies along columns
+    return tuple(map(_read_only, np.meshgrid(rng, rng, indexing="xy")))
 
 
 def polarize_grid_exact(u: GridFunction, hp: LatticeHyperplane) -> GridFunction:
@@ -191,22 +210,28 @@ def polarize_grid_exact(u: GridFunction, hp: LatticeHyperplane) -> GridFunction:
     m = u.m
     # Past 2m+1 every cell is on one side and reflects off the array, as for
     # the original offset, whose round(2*s) may not fit numpy's int64.
-    bound = 2 * m + 1
-    clamped = LatticeHyperplane(hp.kind, min(max(hp.s, -bound), bound))
+    n = 2 * m + 1
+    clamped = LatticeHyperplane(hp.kind, min(max(hp.s, -n), n))
     I, J = _index_grids(m)
     RI, RJ = clamped.reflect_index(I, J)
     inside = (np.abs(RI) <= m) & (np.abs(RJ) <= m)
     in_h = clamped.contains_index(I, J)
-    escapes = ~inside & ~in_h & (u.values > 0)
-    if np.any(escapes):
+    if u.values[~(inside | in_h)].any():   # a positive value would escape
         raise GridFitError(
-            f"support reflects outside the {2*m+1}x{2*m+1} array for {hp}")
-    mirrored = np.zeros_like(u.values)
-    mirrored[inside] = u.values[RJ[inside] + m, RI[inside] + m]
+            f"support reflects outside the {n}x{n} array for {hp}")
+    # Each cell reads its mirror image by flat index; an image off the
+    # array reads the zero appended after the last cell.
+    source = np.where(inside, (RJ + m) * n + (RI + m), n * n)
+    mirrored = np.append(u.values, 0.0)[source]
     new = np.where(in_h, np.maximum(u.values, mirrored),
                    np.minimum(u.values, mirrored))
-    out = GridFunction(m, u.h, new)
-    return u if out == u else out
+    return _moved(u, new)
+
+
+def _moved(u: GridFunction, new: np.ndarray) -> GridFunction:
+    """u itself when new holds its values unchanged, else new on u's grid."""
+    return u if np.array_equal(new, u.values) else GridFunction._checked(
+        u.m, u.h, new)
 
 
 def _bilinear(u: GridFunction, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
@@ -255,11 +280,12 @@ def polarize_grid_interp(u: GridFunction, h: Halfspace) -> GridFunction:
     return GridFunction(m, u.h, new)
 
 
+@lru_cache(maxsize=8)
 def _canonical_cell_order(m: int) -> np.ndarray:
     """Flat (row-major) cell indices sorted by (i^2 + j^2, i, j)."""
     I, J = _index_grids(m)
     d2 = (I * I + J * J).ravel()
-    return np.lexsort((J.ravel(), I.ravel(), d2))
+    return _read_only(np.lexsort((J.ravel(), I.ravel(), d2)))
 
 
 def rearrange_grid(u: GridFunction) -> GridFunction:
@@ -268,52 +294,58 @@ def rearrange_grid(u: GridFunction) -> GridFunction:
     order = _canonical_cell_order(u.m)
     new = np.empty(u.values.size)
     new[order] = np.sort(u.values, axis=None)[::-1]
-    out = GridFunction(u.m, u.h, new.reshape(u.values.shape))
-    return u if out == u else out
+    return _moved(u, new.reshape(u.values.shape))
 
 
+@lru_cache(maxsize=8)
 def _spiral_permutation(n: int) -> np.ndarray:
     """Permutation placing sorted-descending values on a length-n centered
     line in spiral order about the middle index."""
     m = n // 2
     offsets = np.arange(-m, m + 1)
     ranks = np.where(offsets > 0, 2 * offsets - 1, -2 * offsets)
-    return np.argsort(ranks, kind="stable")
+    return _read_only(np.argsort(ranks, kind="stable"))
 
 
 def steiner_rows(u: GridFunction, axis: Axis) -> GridFunction:
     """Steiner symmetrization with invariant subspace `axis`: every line
     orthogonal to the axis is replaced by its 1-D spiral rearrangement
     about index 0."""
-    n = 2 * u.m + 1
-    perm = _spiral_permutation(n)
-    v = u.values.copy()
+    perm = _spiral_permutation(2 * u.m + 1)
+    v = np.empty_like(u.values)
     if axis is Axis.X:
         # lines orthogonal to the X axis: fixed i, varying j (columns)
-        for col in range(n):
-            line = np.sort(v[:, col])[::-1]
-            v[perm, col] = line
+        v[perm, :] = np.sort(u.values, axis=0)[::-1, :]
     else:
-        for row in range(n):
-            line = np.sort(v[row, :])[::-1]
-            v[row, perm] = line
-    out = GridFunction(u.m, u.h, v)
-    return u if out == u else out
+        v[:, perm] = np.sort(u.values, axis=1)[:, ::-1]
+    return _moved(u, v)
+
+
+@lru_cache(maxsize=8)
+def _gaussian_weights(m: int, h: float) -> np.ndarray:
+    I, J = _index_grids(m)
+    return _read_only(np.exp(-(I * I + J * J) * (h * h)))
 
 
 def gaussian_cell_mass(u: GridFunction) -> float:
-    """Sum of u(i, j) * exp(-(i^2+j^2) h^2) * h^2 in fixed cell order."""
-    I, J = _index_grids(u.m)
-    w = np.exp(-(I * I + J * J) * (u.h * u.h))
-    return float(math.fsum((u.values * w).ravel()) * u.h * u.h)
+    """Sum of u(i, j) * exp(-(i^2+j^2) h^2) * h^2 in fixed cell order.
+    ValueError when the mass leaves the float range."""
+    w = _gaussian_weights(u.m, u.h)
+    return finite_result(lambda: math.fsum((u.values * w).ravel()) * u.h * u.h,
+                         "Gaussian cell mass")
 
 
 def grid_lp_distance(u: GridFunction, v: GridFunction, p: float) -> float:
+    """L^p distance of two grids with the same m and h; ValueError when it
+    leaves the float range."""
     if u.m != v.m or u.h != v.h:
         raise ValueError("grids must share shape and cell size")
-    diff = np.abs(u.values - v.values)
-    cell = u.h * u.h
-    return float(math.fsum((diff ** p).ravel()) * cell) ** (1.0 / p)
+    return _lp_error(np.abs(u.values - v.values), u.h * u.h, p)
+
+
+def _lp_error(diff: np.ndarray, cell: float, p: float) -> float:
+    return finite_result(
+        lambda: (math.fsum((diff ** p).ravel()) * cell) ** (1.0 / p), "L^p error")
 
 
 def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
@@ -337,7 +369,7 @@ def _grid_record(n, current, target, p, eps):
     cell = current.h * current.h
     return ConvergenceRecord(
         n=n,
-        lp_error=float(math.fsum((diff ** p).ravel()) * cell) ** (1.0 / p),
+        lp_error=_lp_error(diff, cell, p),
         weighted_mass=gaussian_cell_mass(current),
         sup_error=float(diff.max()) if diff.size else 0.0,
         deviation_measure=float(np.count_nonzero(diff > eps)) * cell,

@@ -109,9 +109,8 @@ def halfspace_distance(h1: Halfspace, h2: Halfspace) -> float:
 
 def _dyadic_level_count(rho: float, m: int) -> int:
     """Number of odd k >= 1 with k / 2**m <= rho."""
-    scaled = rho * (1 << m)   # exact: power-of-two scaling
-    k_max = math.floor(scaled)
-    return (k_max + 1) // 2
+    # ldexp scales exactly by a power of two, and builds no float 2**m
+    return (math.floor(math.ldexp(rho, m)) + 1) // 2
 
 
 def _dyadic_offset(rho: float, t: int) -> float:
@@ -159,6 +158,12 @@ class Schedule:
     Offsets run over the dyadic rationals k/2**m <= rho (k odd, m >= 1),
     breadth-first by level, so every emitted halfspace has 0 as an interior
     point and the sequence is dense among halfspaces with offset <= rho.
+
+    rho must lie in [2**-1022, 2**1023).  From 2**1023 on, the first
+    level's bound 2 * rho overflows.  Below 2**-1022 rho is subnormal, and
+    the offsets k / 2**m underflow to 0 within a few levels past its first;
+    from 2**-1022 on, every offset up to index 2**53 is positive.  Within
+    the range no level count overflows.
     """
 
     dimension: int
@@ -167,8 +172,8 @@ class Schedule:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError("schedule dimension must be 1 or 2")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 2.0 ** -1022 <= self.rho < 2.0 ** 1023:
+            raise ValueError(f"rho must lie in [2**-1022, 2**1023), got {self.rho}")
 
     def nth(self, n: int) -> Halfspace:
         """n-th halfspace of the enumeration, 1-based; stateless."""

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from . import _textio
 from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
-                     finite_fsum)
+                     finite_result)
 
 
 def rank(x: int) -> int:
@@ -167,8 +167,8 @@ def spiral_weighted_mass(u: LatticeFunction) -> float:
     """Sum of u(x) / (1 + rank(x)); strictly decreasing weight along the
     spiral, so it never decreases under polarization.  ValueError when the
     sum leaves the float range."""
-    return finite_fsum((v / (1 + rank(x)) for x, v in u._values.items()),
-                       "spiral weighted mass")
+    return finite_result(lambda: math.fsum(
+        v / (1 + rank(x)) for x, v in u._values.items()), "spiral weighted mass")
 
 
 def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
@@ -191,7 +191,8 @@ def _lattice_record(n, current, target, p, eps):
     diffs = [abs(current.value(x) - target.value(x)) for x in sites]
     return ConvergenceRecord(
         n=n,
-        lp_error=math.fsum(d ** p for d in diffs) ** (1.0 / p) if diffs else 0.0,
+        lp_error=finite_result(lambda: math.fsum(d ** p for d in diffs) ** (1 / p),
+                               "L^p error") if diffs else 0.0,
         weighted_mass=spiral_weighted_mass(current),
         sup_error=max(diffs, default=0.0),
         deviation_measure=float(sum(1 for d in diffs if d > eps)),

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import _textio
 
 
@@ -68,14 +70,16 @@ class ConvergenceSeries:
         return cls.loads(_textio.read_text(path))
 
 
-def finite_fsum(terms, what: str) -> float:
-    """math.fsum(terms), or ValueError naming `what` when the sum leaves
-    the float range."""
+def finite_result(compute, what: str) -> float:
+    """compute(), or ValueError naming `what` when the result, or a step on
+    the way to it, leaves the float range.  A numpy overflow raises here
+    instead of warning, as do Python's float power and math.fsum."""
     try:
-        total = math.fsum(terms)
+        with np.errstate(over="raise"):
+            total = compute()
         if math.isfinite(total):
             return total
-    except OverflowError:   # finite terms whose partial sums overflow
+    except (OverflowError, FloatingPointError):
         pass
     raise ValueError(f"{what} overflows the float range")
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _textio
 from .halfspace import Halfspace
+from .series import finite_result
 
 _EMPTY = np.empty(0)
 _EMPTY.setflags(write=False)
@@ -231,14 +232,13 @@ def superlevel_measure(u: StepFunction, lam: float) -> float:
 
 def lp_norm_pow(u: StepFunction, p: float) -> float:
     """Integral of |u|^p, grouped by distinct value so that equimeasurable
-    representations evaluate through identical arithmetic."""
+    representations evaluate through identical arithmetic.  ValueError when
+    it leaves the float range."""
     if p < 1:
         raise ValueError("p must be >= 1")
     distinct, totals = _grouped_lengths(u)
-    if distinct.size == 0:
-        return 0.0
-    powered = distinct if p == 1 else distinct ** p
-    return float(math.fsum(powered * totals))
+    return finite_result(lambda: math.fsum(
+        (distinct if p == 1 else distinct ** p) * totals), "L^p norm")
 
 
 def lp_norm(u: StepFunction, p: float) -> float:
@@ -261,13 +261,13 @@ def _abs_diff(u: StepFunction, v: StepFunction):
 
 
 def lp_distance_pow(u: StepFunction, v: StepFunction, p: float) -> float:
-    """Integral of |u - v|^p over the merged breakpoint grid."""
+    """Integral of |u - v|^p over the merged breakpoint grid; ValueError
+    when it leaves the float range."""
     if p < 1:
         raise ValueError("p must be >= 1")
     diff, widths = _abs_diff(u, v)
-    if p != 1:
-        diff = diff ** p
-    return float(math.fsum(diff * widths))
+    return finite_result(lambda: math.fsum(
+        (diff if p == 1 else diff ** p) * widths), "L^p distance")
 
 
 def lp_distance(u: StepFunction, v: StepFunction, p: float) -> float:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from rearrange_lab import generators, grid2d, lattice, step1d
+from rearrange_lab import cli, generators, grid2d, lattice, step1d
 from rearrange_lab.cli import main
 from rearrange_lab.grid2d import GridFunction, HyperplaneKind, LatticeHyperplane
 from rearrange_lab.lattice import LatticeFunction
@@ -243,6 +243,8 @@ class TestConverge:
     @pytest.mark.parametrize("text, n_max", [
         ("site,value\n0,1e308\n1,1e308\n-1,1e308\n", "3"),
         ("breakpoint,value\n0,1e308\n1,\n", "2"),
+        # the grid's Gaussian mass: 1e308 * h^2 at h = 2
+        ("1,2\n0,0,0\n0,1e308,0\n0,0,0\n", "2"),
     ])
     def test_weighted_mass_beyond_the_float_range_is_exit_2(self, tmp_path,
                                                             text, n_max):
@@ -253,10 +255,110 @@ class TestConverge:
                      "--n-max", n_max]) == 2
         assert not out.exists()
 
+    # The 5x5 grid at h = 0.5 with 1e200 at (i, j) = (1, -1).
+    GRID_1E200 = "2,0.5\n" + "0,0,0,0,0\n0,0,0,1e200,0\n" + "0,0,0,0,0\n" * 3
+
+    @pytest.mark.parametrize("text, args", [
+        ("site,value\n5,1e200\n", ["--p", "2"]),
+        ("site,value\n5,1e308\n6,1e308\n", ["--n-max", "3"]),
+        ("breakpoint,value\n3,1e200\n4,\n", ["--p", "2"]),
+        (GRID_1E200, ["--p", "2"]),
+        # Steiner symmetrization moves the second 1e308 to (1, 0), away
+        # from its cell in the rearrangement: the L^1 sum is 2e308.
+        ("1,0.5\n0,0,0\n1e308,1e308,0\n0,0,0\n", []),
+    ], ids=["lattice-power", "lattice-sum", "step1d", "grid-power", "grid-sum"])
+    def test_lp_error_beyond_the_float_range_is_exit_2(self, tmp_path, capsys,
+                                                       text, args):
+        src = tmp_path / "u.csv"
+        out = tmp_path / "s.csv"
+        src.write_text(text)
+        assert main(["converge", "--input", str(src), "--output", str(out),
+                     "--n-max", "2", *args]) == 2
+        assert "overflows the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_weight_is_exit_2(self, step_file, tmp_path):
         assert main(["converge", "--input", str(step_file),
                      "--output", str(tmp_path / "s.csv"),
                      "--weight", "boxcar"]) == 2
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("rho", ["inf", "1e308", "1e-320"])
+    def test_schedule_rho_outside_the_range_is_exit_2(self, capsys, rho):
+        assert main(["schedule", "--count", "2", "--rho", rho]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "rho must lie in [2**-1022, 2**1023)" in err
+
+    @pytest.mark.parametrize("rho", ["inf", "1e-320"])
+    def test_converge_rho_outside_the_range_is_exit_2(self, step_file,
+                                                      tmp_path, rho):
+        out = tmp_path / "s.csv"
+        assert main(["converge", "--input", str(step_file),
+                     "--output", str(out), "--rho", rho]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["step_file", "lattice_file",
+                                        "grid_file"])
+    @pytest.mark.parametrize("args", [
+        ["--p", "nan"], ["--p", "inf"], ["--eps", "nan"],
+    ], ids=["p-nan", "p-inf", "eps-nan"])
+    def test_non_finite_p_or_eps_is_exit_2(self, request, tmp_path, capsys,
+                                           engine, args):
+        out = tmp_path / "s.csv"
+        assert main(["converge", "--input",
+                     str(request.getfixturevalue(engine)),
+                     "--output", str(out), *args]) == 2
+        assert "invalid finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--p", "0"], "error: p must be >= 1\n"),
+        (["--eps", "0"], "error: eps must be positive\n"),
+    ])
+    def test_zero_p_and_eps_keep_their_messages(self, step_file, tmp_path,
+                                                capsys, args, message):
+        assert main(["converge", "--input", str(step_file),
+                     "--output", str(tmp_path / "s.csv"), *args]) == 2
+        assert capsys.readouterr().err == message
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(
+            self, tmp_path, capsys, monkeypatch, step_file, lattice_file,
+            grid_file):
+        # The help text is wrapped to COLUMNS, so both sides get the same.
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def io(path):
+            return ["--input", str(path), "--output", "{out}"]
+
+        calls = [
+            ["schedule", "--count", "3", "--bogus"],
+            ["--help"],
+            ["converge", *io(step_file), "--p", "2"],
+            ["converge", *io(step_file)],
+            ["polarize", *io(step_file), "--by", "nu=-1,d=0.25"],
+            ["polarize", *io(lattice_file), "--by", "c=1"],
+            ["polarize", *io(grid_file), "--by", "dir=X,s=0.5"],
+        ]
+        for k, call in enumerate(calls):
+            here, fresh = tmp_path / f"here-{k}.csv", tmp_path / f"fresh-{k}.csv"
+            code = main([a.replace("{out}", str(here)) for a in call])
+            got = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "rearrange_lab",
+                 *[a.replace("{out}", str(fresh)) for a in call]],
+                capture_output=True, text=True)
+            assert (code, got.out, got.err) == (
+                proc.returncode, proc.stdout, proc.stderr), call
+            assert here.exists() == fresh.exists()
+            if here.exists():
+                assert here.read_bytes() == fresh.read_bytes(), call
 
 
 class TestCheck:

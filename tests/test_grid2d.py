@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rearrange_lab import generators
+from rearrange_lab import generators, grid2d
 from rearrange_lab.errors import ParseError
 from rearrange_lab.grid2d import (
     Axis,
@@ -292,6 +293,158 @@ class TestSteiner:
             for axis in Axis:
                 once = steiner_rows(g, axis)
                 assert steiner_rows(once, axis) is once
+
+
+# The grid operations as they were before the per-size caches, the one-step
+# mirror gather and the one-sort Steiner pass: every array is rebuilt on
+# each call, Steiner sorts line by line, and each result is validated
+# afresh.  The engine must give the same bytes, return u exactly when these
+# do, raise GridFitError with the same message, and give the same mass
+# (a ValueError where this mass overflows in math.fsum).
+
+
+def reference_index_grids(m: int):
+    rng = np.arange(-m, m + 1)
+    return np.meshgrid(rng, rng, indexing="xy")
+
+
+def reference_polarize_grid_exact(u: GridFunction,
+                                  hp: LatticeHyperplane) -> GridFunction:
+    m = u.m
+    bound = 2 * m + 1
+    clamped = LatticeHyperplane(hp.kind, min(max(hp.s, -bound), bound))
+    I, J = reference_index_grids(m)
+    RI, RJ = clamped.reflect_index(I, J)
+    inside = (np.abs(RI) <= m) & (np.abs(RJ) <= m)
+    in_h = clamped.contains_index(I, J)
+    escapes = ~inside & ~in_h & (u.values > 0)
+    if np.any(escapes):
+        raise GridFitError(
+            f"support reflects outside the {2*m+1}x{2*m+1} array for {hp}")
+    mirrored = np.zeros_like(u.values)
+    mirrored[inside] = u.values[RJ[inside] + m, RI[inside] + m]
+    new = np.where(in_h, np.maximum(u.values, mirrored),
+                   np.minimum(u.values, mirrored))
+    out = GridFunction(m, u.h, new)
+    return u if out == u else out
+
+
+def reference_rearrange_grid(u: GridFunction) -> GridFunction:
+    I, J = reference_index_grids(u.m)
+    order = np.lexsort((J.ravel(), I.ravel(), (I * I + J * J).ravel()))
+    new = np.empty(u.values.size)
+    new[order] = np.sort(u.values, axis=None)[::-1]
+    out = GridFunction(u.m, u.h, new.reshape(u.values.shape))
+    return u if out == u else out
+
+
+def reference_steiner_rows(u: GridFunction, axis: Axis) -> GridFunction:
+    n = 2 * u.m + 1
+    offsets = np.arange(-u.m, u.m + 1)
+    ranks = np.where(offsets > 0, 2 * offsets - 1, -2 * offsets)
+    perm = np.argsort(ranks, kind="stable")
+    v = u.values.copy()
+    if axis is Axis.X:
+        for col in range(n):
+            line = np.sort(v[:, col])[::-1]
+            v[perm, col] = line
+    else:
+        for row in range(n):
+            line = np.sort(v[row, :])[::-1]
+            v[row, perm] = line
+    out = GridFunction(u.m, u.h, v)
+    return u if out == u else out
+
+
+def reference_gaussian_cell_mass(u: GridFunction) -> float:
+    I, J = reference_index_grids(u.m)
+    w = np.exp(-(I * I + J * J) * (u.h * u.h))
+    return float(math.fsum((u.values * w).ravel()) * u.h * u.h)
+
+
+@st.composite
+def sparse_grid_functions(draw):
+    """m up to 9, a few cells set to any value, the rest 0."""
+    m = draw(st.integers(0, 9))
+    index = st.integers(-m, m)
+    points = draw(st.dictionaries(st.tuples(index, index),
+                                  st.one_of(st.just(-0.0), VALUE),
+                                  max_size=12))
+    h = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                       st.floats(0.05, 2.0)))
+    return GridFunction.from_points(m, h, points)
+
+
+@st.composite
+def grids_and_hyperplanes(draw):
+    """A grid, and a hyperplane whose offset lies inside or beyond
+    +-(2m+1), up to +-1e300."""
+    g = draw(st.one_of(grid_functions(), sparse_grid_functions()))
+    kind = draw(st.sampled_from(list(HyperplaneKind)))
+    near = 2 * g.m + 3
+    k = draw(st.one_of(st.integers(-2 * near, 2 * near),
+                       st.integers(-10**20, 10**20),
+                       st.sampled_from([-1e300, 1e300])))
+    axis = kind in (HyperplaneKind.X, HyperplaneKind.Y)
+    return g, LatticeHyperplane(kind, k / 2 if axis else k)
+
+
+def same_result(out, ref, u):
+    assert out.values.tobytes() == ref.values.tobytes()
+    assert (out is u) == (ref is u)
+    assert (out.m, out.h) == (ref.m, ref.h)
+    assert not out.values.flags.writeable
+
+
+class TestReference:
+    @given(grids_and_hyperplanes())
+    @settings(deadline=None, max_examples=300)
+    def test_exact_polarization_matches_the_reference(self, case):
+        g, hp = case
+        try:
+            ref = reference_polarize_grid_exact(g, hp)
+        except GridFitError as exc:
+            with pytest.raises(GridFitError) as got:
+                polarize_grid_exact(g, hp)
+            assert str(got.value) == str(exc)
+            return
+        same_result(polarize_grid_exact(g, hp), ref, g)
+
+    @given(st.one_of(grid_functions(), sparse_grid_functions()))
+    @settings(deadline=None, max_examples=300)
+    def test_steiner_rearrange_and_mass_match_the_reference(self, g):
+        for axis in Axis:
+            same_result(steiner_rows(g, axis), reference_steiner_rows(g, axis), g)
+        same_result(rearrange_grid(g), reference_rearrange_grid(g), g)
+        try:
+            mass = reference_gaussian_cell_mass(g)
+        except OverflowError:
+            mass = math.inf
+        if math.isfinite(mass):
+            assert gaussian_cell_mass(g) == mass
+        else:
+            with pytest.raises(ValueError, match="Gaussian cell mass"):
+                gaussian_cell_mass(g)
+
+    def test_cached_arrays_are_read_only(self):
+        for a in (*grid2d._index_grids(2), grid2d._canonical_cell_order(2),
+                  grid2d._spiral_permutation(5),
+                  grid2d._gaussian_weights(2, 0.5)):
+            assert not a.flags.writeable
+
+    def test_gaussian_mass_beyond_the_float_range(self):
+        # the sum of the terms overflows; at h = 2, the factor h^2 alone does
+        big = GridFunction.from_points(1, 0.5, {(0, 0): 1e308, (-1, 0): 1e308,
+                                                (0, -1): 1e308})
+        wide = GridFunction.from_points(1, 2.0, {(0, 0): 1e308})
+        for g in (big, wide):
+            with pytest.raises(ValueError, match="Gaussian cell mass"):
+                gaussian_cell_mass(g)
+
+    def test_lp_distance_beyond_the_float_range(self):
+        a = GridFunction.from_points(1, 0.5, {(0, 0): 1e200})
+        with pytest.raises(ValueError, match="L\\^p error"):
+            grid_lp_distance(a, GridFunction.zeros(1, 0.5), 2.0)
 
 
 class TestMixedSchedule:

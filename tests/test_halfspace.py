@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -129,6 +130,19 @@ class TestSchedule:
         s = Schedule(dimension=1, rho=1.0)
         from itertools import islice
         assert list(islice(iter(s), 25)) == s.first(25)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0, 1e308,
+                                     2.0 ** 1023, 1e-320, 2.0 ** -1023])
+    def test_rho_outside_the_range_rejected(self, rho):
+        with pytest.raises(ValueError, match=re.escape("[2**-1022, 2**1023)")):
+            Schedule(dimension=1, rho=rho)
+
+    def test_rho_range_ends_reach_fine_levels(self):
+        # No level count overflows, even well past the first nonempty level.
+        low = Schedule(dimension=1, rho=2.0 ** -1022)
+        assert 0 < low.nth(4001).offset <= 2.0 ** -1022
+        high = Schedule(dimension=2, rho=math.nextafter(2.0 ** 1023, 0))
+        assert 0 < high.nth(50).offset <= high.rho
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

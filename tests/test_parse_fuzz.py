@@ -1,5 +1,9 @@
 """Every parser of outside input (the four CSV formats and the three --by
-encodings) ends in a value or in ParseError, never in another exception."""
+encodings) ends in a value or in ParseError, never in another exception,
+and the schedule's --rho ends in exit code 0 or 2."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -71,3 +75,18 @@ def test_csv_loads(parse, text):
 @example(text="c")
 def test_by_parsers(parse, text):
     _value_or_parse_error(parse, text)
+
+
+@settings(deadline=None)
+@given(rho=NUMBER, count=st.integers(1, 50))
+@example(rho="2.2250738585072014e-308", count=50)   # 2**-1022
+@example(rho="8.98846567431158e+307", count=3)       # 2**1023
+@example(rho="1e-320", count=2)
+def test_schedule_rho(rho, count):
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        code = cli.main(["schedule", "--count", str(count), f"--rho={rho}"])
+    assert code in (0, 2)
+    if code == 0:
+        offsets = [float(line.split("d=")[1]) for line in out.getvalue().split()]
+        assert len(offsets) == count
+        assert all(0 < d <= float(rho) for d in offsets)
