@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -35,50 +34,39 @@ _SQRT_PI = math.sqrt(math.pi)
 INVARIANT_TOL = 1e-12
 
 
-class WeightKind(Enum):
-    GAUSSIAN = "gaussian"
-    TRIANGULAR = "triangular"
-
-
 @dataclass(frozen=True)
 class RadialWeight:
     """Radial, radially nonincreasing weight on the line.
 
-    Gaussian: w(x) = exp(-x^2), strictly decreasing in |x| everywhere.
-    Triangular: w(x) = max(0, R - |x|), strictly decreasing on |x| < R and
-    exactly integrable against step functions.
+    Gaussian (radius None): w(x) = exp(-x^2), strictly decreasing in |x|
+    everywhere.  Triangular: w(x) = max(0, R - |x|) with R = radius,
+    strictly decreasing on |x| < R and exactly integrable against step
+    functions.
     """
 
-    kind: WeightKind
-    radius: float = 0.0
+    radius: float | None = None
 
     def __post_init__(self):
-        if self.kind is WeightKind.TRIANGULAR and not self.radius > 0:
-            raise ValueError("triangular weight needs a positive radius")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError("triangular weight needs a positive finite radius")
 
     @classmethod
     def gaussian(cls) -> "RadialWeight":
-        return cls(WeightKind.GAUSSIAN)
+        return cls()
 
     @classmethod
     def triangular(cls, radius: float) -> "RadialWeight":
-        return cls(WeightKind.TRIANGULAR, radius)
-
-    def __call__(self, x: float) -> float:
-        r = abs(x)
-        if self.kind is WeightKind.GAUSSIAN:
-            return math.exp(-r * r)
-        return max(0.0, self.radius - r)
+        return cls(radius)
 
     def antiderivative(self, x: float) -> float:
         """Odd antiderivative F with F' = w; closed form for both kinds."""
-        if self.kind is WeightKind.GAUSSIAN:
+        if self.radius is None:
             return 0.5 * _SQRT_PI * math.erf(x)
         r = min(abs(x), self.radius)
         return math.copysign(self.radius * r - 0.5 * r * r, x)
 
     def encode(self) -> str:
-        if self.kind is WeightKind.GAUSSIAN:
+        if self.radius is None:
             return "gaussian"
         return f"triangular:{format(self.radius, '.17g')}"
 

@@ -25,13 +25,12 @@ EXIT_USAGE = 2
 EXIT_GEOMETRY = 3
 EXIT_INVARIANT = 4
 
-ENGINES = ("step1d", "lattice", "grid2d")
-
 
 def _sniff_engine(path: str) -> str:
-    """Infer the engine from the file's first line."""
+    """The engine of a table file, from its first non-blank line (the codec
+    skips blank lines); reading stops at that line."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
+        first = next((line.strip() for line in fh if line.strip()), "")
     if first == step1d.CSV_HEADER:
         return "step1d"
     if first == lattice.CSV_HEADER:
@@ -47,72 +46,59 @@ def _sniff_engine(path: str) -> str:
     raise ParseError(f"cannot infer engine from header {first!r}")
 
 
-_IO = {
-    "step1d": (step1d.read_csv, step1d.write_csv),
-    "lattice": (lattice.read_csv, lattice.write_csv),
-    "grid2d": (grid2d.read_csv, grid2d.write_csv),
+_GRID_STEPS = (Axis.X, Axis.Y, LatticeHyperplane(HyperplaneKind.DIAG_UP, 0),
+               LatticeHyperplane(HyperplaneKind.DIAG_DOWN, 0))
+
+# Engine -> (read_csv, write_csv, parse --by, polarize, rearrange,
+# converge(u, args, weight)).  Plain tuples of the engine functions: the
+# benchmark's tracer wraps functions held in module-level tables this way.
+ENGINES = {
+    "step1d": (
+        step1d.read_csv, step1d.write_csv,
+        functools.partial(Halfspace.parse, dimension=1),
+        step1d.polarize, step1d.rearrange,
+        lambda u, args, weight: analysis.converge_scheme(
+            u, Schedule(dimension=1, rho=args.rho), n_max=args.n_max,
+            p=args.p, weight=weight, eps=args.eps, order=args.order)),
+    "lattice": (
+        lattice.read_csv, lattice.write_csv,
+        lambda text: _textio.keyed(text, {"c": int}, "c=<int>")[0],
+        lattice.polarize_involution, lattice.rearrange_lattice,
+        lambda u, args, weight: lattice.schedule_scheme_lattice(
+            u, lattice.spiral_sites(args.n_max), n_max=args.n_max,
+            p=args.p, eps=args.eps)),
+    "grid2d": (
+        grid2d.read_csv, grid2d.write_csv, LatticeHyperplane.parse,
+        grid2d.polarize_grid_exact, grid2d.rearrange_grid,
+        lambda u, args, weight: grid2d.mixed_schedule(
+            u, _GRID_STEPS, n_max=args.n_max, p=args.p, eps=args.eps)),
 }
+_IO = ENGINES   # the name the benchmark's self-tests read the table by
 
 
 def _load(args):
-    engine = args.engine or _sniff_engine(args.input)
-    reader, _ = _IO[engine]
-    return engine, reader(args.input)
-
-
-def _write(engine, obj, path):
-    _IO[engine][1](obj, path)
-
-
-def _parse_geometry(engine: str, text: str):
-    if engine == "step1d":
-        return Halfspace.parse(text, dimension=1)
-    if engine == "grid2d":
-        return LatticeHyperplane.parse(text)
-    return _textio.keyed(text, {"c": int}, "c=<int>")[0]
+    """The ENGINES entry of the input file's engine, and the function the
+    file holds."""
+    engine = ENGINES[_sniff_engine(args.input)]
+    return engine, engine[0](args.input)
 
 
 def cmd_polarize(args) -> int:
-    engine, u = _load(args)
-    geom = _parse_geometry(engine, args.by)
-    if engine == "step1d":
-        out = step1d.polarize(u, geom)
-    elif engine == "lattice":
-        out = lattice.polarize_involution(u, geom)
-    else:
-        out = grid2d.polarize_grid_exact(u, geom)
-    _write(engine, out, args.output)
+    (_, write, parse_by, polarize, _, _), u = _load(args)
+    write(polarize(u, parse_by(args.by)), args.output)
     return EXIT_OK
 
 
 def cmd_rearrange(args) -> int:
-    engine, u = _load(args)
-    out = {"step1d": step1d.rearrange,
-           "lattice": lattice.rearrange_lattice,
-           "grid2d": grid2d.rearrange_grid}[engine](u)
-    _write(engine, out, args.output)
+    (_, write, _, _, rearrange, _), u = _load(args)
+    write(rearrange(u), args.output)
     return EXIT_OK
 
 
 def cmd_converge(args) -> int:
-    engine, u = _load(args)
-    weight = analysis.RadialWeight.parse(args.weight)
-    if engine == "step1d":
-        schedule = Schedule(dimension=1, rho=args.rho)
-        series = analysis.converge_scheme(
-            u, schedule, n_max=args.n_max, p=args.p, weight=weight,
-            eps=args.eps, order=args.order)
-    elif engine == "lattice":
-        centers = lattice.spiral_sites(args.n_max)
-        series = lattice.schedule_scheme_lattice(
-            u, centers, n_max=args.n_max, p=args.p, eps=args.eps)
-    else:
-        steps = [Axis.X, Axis.Y,
-                 LatticeHyperplane(HyperplaneKind.DIAG_UP, 0),
-                 LatticeHyperplane(HyperplaneKind.DIAG_DOWN, 0)]
-        series = grid2d.mixed_schedule(u, steps, n_max=args.n_max,
-                                       p=args.p, eps=args.eps)
-    series.write_csv(args.output)
+    (*_, converge), u = _load(args)
+    converge(u, args, analysis.RadialWeight.parse(args.weight)).write_csv(
+        args.output)
     return EXIT_OK
 
 
@@ -222,12 +208,9 @@ def _build_parser():
         description="Polarization and symmetric-rearrangement experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_flags(p, output=True):
+    def io_flags(p):
         p.add_argument("--input", required=True, help="input function CSV")
-        if output:
-            p.add_argument("--output", required=True, help="output CSV path")
-        p.add_argument("--engine", choices=ENGINES,
-                       help="override header-based engine inference")
+        p.add_argument("--output", required=True, help="output CSV path")
 
     p = sub.add_parser("polarize", help="polarize a function across a "
                        "halfspace (step1d), involution (lattice), or "

@@ -353,6 +353,8 @@ def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
     """Triangular scheme over a cyclic list of lattice hyperplanes and
     Steiner axes; records the distance to rearrange_grid(u) per outer step
     (row n=0 is the starting point)."""
+    if not p > 0:
+        raise ValueError("p must be > 0")
     steps = list(steps)
     if not steps:
         raise ValueError("need at least one step")

@@ -188,12 +188,6 @@ class Schedule:
     def first(self, count: int) -> list[Halfspace]:
         return [self.nth(n) for n in range(1, count + 1)]
 
-    def __iter__(self):
-        n = 1
-        while True:
-            yield self.nth(n)
-            n += 1
-
 
 @lru_cache(maxsize=16)
 def _schedule_arrays(schedule: Schedule, n_max: int):

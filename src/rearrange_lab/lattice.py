@@ -177,6 +177,8 @@ def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
     """Triangular scheme on Z: at outer step n, polarize by the first n
     involution centers in order.  Records the distance to the spiral
     rearrangement of u; row n=0 is the starting point."""
+    if not p > 0:
+        raise ValueError("p must be > 0")
     centers = list(centers)
     if len(centers) < n_max:
         raise ValueError("need at least n_max involution centers")

@@ -92,14 +92,8 @@ class StepFunction:
         for i, v in enumerate(self.values):
             yield float(b[i]), float(b[i + 1]), float(v)
 
-    def evaluate(self, x: float) -> float:
-        b = self.breakpoints
-        if b.size == 0 or x < b[0] or x >= b[-1]:
-            return 0.0
-        i = int(np.searchsorted(b, x, side="right")) - 1
-        return float(self.values[i])
-
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
+        """u at each of xs; piece i covers the half-open [b_i, b_{i+1})."""
         xs = np.asarray(xs, dtype=float)
         b = self.breakpoints
         if b.size == 0:

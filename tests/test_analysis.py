@@ -23,25 +23,32 @@ from rearrange_lab.step1d import StepFunction, lp_norm, polarize, rearrange
 class TestRadialWeight:
     def test_gaussian_values(self):
         w = RadialWeight.gaussian()
-        assert w(0.0) == 1.0
-        assert w(2.0) == math.exp(-4.0)
-        assert w(-2.0) == w(2.0)
+        assert w.radius is None
+        assert w.antiderivative(0.0) == 0.0
+        assert w.antiderivative(2.0) == 0.5 * math.sqrt(math.pi) * math.erf(2.0)
+        assert w.antiderivative(-2.0) == -w.antiderivative(2.0)
+        # the whole line has mass sqrt(pi)
+        assert w.antiderivative(40.0) == 0.5 * math.sqrt(math.pi)
 
     def test_triangular_values(self):
         w = RadialWeight.triangular(4.0)
-        assert w(0.0) == 4.0
-        assert w(3.0) == 1.0
-        assert w(5.0) == 0.0
-        with pytest.raises(ValueError):
-            RadialWeight.triangular(0.0)
+        assert w.antiderivative(0.0) == 0.0
+        assert w.antiderivative(3.0) == 7.5    # integral of 4 - x over [0, 3]
+        # the weight is 0 from the radius on
+        assert w.antiderivative(5.0) == w.antiderivative(4.0) == 8.0
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive finite radius"):
+                RadialWeight.triangular(radius)
 
     def test_antiderivative_is_odd_and_consistent(self):
-        for w in (RadialWeight.gaussian(), RadialWeight.triangular(3.0)):
+        for w, density in [
+                (RadialWeight.gaussian(), lambda x: math.exp(-x * x)),
+                (RadialWeight.triangular(3.0), lambda x: max(0.0, 3.0 - abs(x)))]:
             for x in (0.1, 0.7, 2.5, 4.0):
                 assert w.antiderivative(-x) == -w.antiderivative(x)
                 # numeric derivative check
                 d = (w.antiderivative(x + 1e-6) - w.antiderivative(x - 1e-6)) / 2e-6
-                assert abs(d - w(x)) < 1e-5
+                assert abs(d - density(x)) < 1e-5
 
     def test_encode_parse(self):
         for w in (RadialWeight.gaussian(), RadialWeight.triangular(2.5)):

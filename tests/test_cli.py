@@ -176,11 +176,45 @@ class TestRearrange:
                      *args[1:]]) == 2
         assert not out.exists()
 
-    def test_engine_inference_vs_override(self, lattice_file, tmp_path):
-        # forcing the wrong engine turns the same bytes into a parse error
+    def test_engine_inference_vs_override(self, step_file, lattice_file,
+                                          grid_file, tmp_path):
+        # the header alone decides the engine: --engine is no option
+        out = tmp_path / "o.csv"
         assert main(["rearrange", "--input", str(lattice_file),
-                     "--output", str(tmp_path / "o.csv"),
-                     "--engine", "step1d"]) == 2
+                     "--output", str(out), "--engine", "lattice"]) == 2
+        assert not out.exists()
+        for src, module, rearrange in (
+                (step_file, step1d, step1d.rearrange),
+                (lattice_file, lattice, lattice.rearrange_lattice),
+                (grid_file, grid2d, grid2d.rearrange_grid)):
+            assert main(["rearrange", "--input", str(src),
+                         "--output", str(out)]) == 0
+            assert module.read_csv(out) == rearrange(module.read_csv(src))
+
+    @pytest.mark.parametrize("text, module, rearrange", [
+        ("\nbreakpoint,value\n0,1\n3,\n", step1d, step1d.rearrange),
+        ("\nsite,value\n0,1\n3,2\n", lattice, lattice.rearrange_lattice),
+        (" \n\t\n1,0.5\n0,0,0\n0,1,0\n0,0,0", grid2d, grid2d.rearrange_grid),
+    ], ids=["step1d", "lattice", "grid2d"])
+    def test_engine_from_first_non_blank_line(self, tmp_path, text, module,
+                                              rearrange):
+        # the table codec skips blank lines, and so does the engine sniff
+        src = tmp_path / "u.csv"
+        out = tmp_path / "o.csv"
+        src.write_text(text)
+        assert main(["rearrange", "--input", str(src),
+                     "--output", str(out)]) == 0
+        assert module.read_csv(out) == rearrange(module.loads(text))
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "x,y\n0,1\n"])
+    def test_unknown_header_is_exit_2(self, tmp_path, capsys, text):
+        src = tmp_path / "u.csv"
+        out = tmp_path / "o.csv"
+        src.write_text(text)
+        assert main(["rearrange", "--input", str(src),
+                     "--output", str(out)]) == 2
+        assert "cannot infer engine from header" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConverge:
@@ -277,10 +311,19 @@ class TestConverge:
         assert "overflows the float range" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_weight_is_exit_2(self, step_file, tmp_path):
-        assert main(["converge", "--input", str(step_file),
-                     "--output", str(tmp_path / "s.csv"),
-                     "--weight", "boxcar"]) == 2
+    def test_bad_weight_is_exit_2(self, step_file, lattice_file, grid_file,
+                                  tmp_path, capsys):
+        # --weight is checked on every engine, though only step1d uses it
+        out = tmp_path / "s.csv"
+        for src in (step_file, lattice_file, grid_file):
+            for weight, message in [
+                    ("boxcar", "bad weight spec 'boxcar'"),
+                    ("triangular:inf", "triangular weight needs a positive "
+                                       "finite radius")]:
+                assert main(["converge", "--input", str(src), "--output",
+                             str(out), "--weight", weight]) == 2
+                assert capsys.readouterr().err == f"error: {message}\n"
+                assert not out.exists()
 
 
 class TestNumericOptions:
@@ -322,6 +365,20 @@ class TestNumericOptions:
         assert main(["converge", "--input", str(step_file),
                      "--output", str(tmp_path / "s.csv"), *args]) == 2
         assert capsys.readouterr().err == message
+
+
+    @pytest.mark.parametrize("engine", ["lattice_file", "grid_file"])
+    @pytest.mark.parametrize("p, code", [("0", 2), ("-1", 2), ("0.5", 0)])
+    def test_p_must_be_positive_on_lattice_and_grid(self, request, tmp_path,
+                                                    capsys, engine, p, code):
+        # the step1d scheme needs p >= 1; the other two take any p > 0
+        out = tmp_path / "s.csv"
+        assert main(["converge", "--input",
+                     str(request.getfixturevalue(engine)),
+                     "--output", str(out), "--p", p]) == code
+        assert capsys.readouterr().err == ("" if code == 0
+                                           else "error: p must be > 0\n")
+        assert out.exists() == (code == 0)
 
 
 class TestParserReuse:

@@ -126,11 +126,6 @@ class TestSchedule:
         b = Schedule(dimension=2, rho=1.0)
         assert a.first(200) == b.first(200)
 
-    def test_iter_matches_nth(self):
-        s = Schedule(dimension=1, rho=1.0)
-        from itertools import islice
-        assert list(islice(iter(s), 25)) == s.first(25)
-
     @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0, 1e308,
                                      2.0 ** 1023, 1e-320, 2.0 ** -1023])
     def test_rho_outside_the_range_rejected(self, rho):

@@ -63,7 +63,7 @@ def test_csv_loads(parse, text):
     lambda text: Halfspace.parse(text, 1),
     lambda text: Halfspace.parse(text, 2),
     LatticeHyperplane.parse,
-    lambda text: cli._parse_geometry("lattice", text),
+    cli.ENGINES["lattice"][2],
 ], ids=["halfspace-1d", "halfspace-2d", "lattice-hyperplane",
         "lattice-involution"])
 @settings(deadline=None)

@@ -65,17 +65,17 @@ class TestStepFunction:
 
     def test_half_open_evaluation(self):
         u = StepFunction.indicator(1, 2)
-        assert u.evaluate(1.0) == 1.0
-        assert u.evaluate(2.0) == 0.0
-        assert u.evaluate(0.999) == 0.0
+        assert u.evaluate_many([1.0, 2.0, 0.999]).tolist() == [1.0, 0.0, 0.0]
 
     def test_evaluate_many_matches_evaluate(self):
+        # against the pointwise definition: the value of the piece [a, b)
+        # that holds x, else 0
         rng = random.Random(0)
         u = generators.random_step_function(rng)
-        xs = np.array([rng.uniform(-9, 9) for _ in range(500)])
-        many = u.evaluate_many(xs)
-        for x, v in zip(xs, many):
-            assert u.evaluate(float(x)) == v
+        xs = [rng.uniform(-9, 9) for _ in range(500)]
+        xs += u.breakpoints.tolist()
+        for x, v in zip(xs, u.evaluate_many(np.array(xs)).tolist()):
+            assert v == next((w for a, b, w in u.pieces() if a <= x < b), 0.0)
 
     def test_equality_and_hash(self):
         a = StepFunction([0, 1], [2.0])
@@ -154,11 +154,10 @@ class TestPolarize:
             out = polarize(u, h)
             nu, d = h.normal[0], h.offset
             c = nu * d
-            for _ in range(200):
-                x = rng.uniform(-10, 10)
-                a, b = u.evaluate(x), u.evaluate(2 * c - x)
-                want = max(a, b) if nu * x <= d else min(a, b)
-                assert out.evaluate(x) == want
+            xs = np.array([rng.uniform(-10, 10) for _ in range(200)])
+            a, b = u.evaluate_many(xs), u.evaluate_many(2 * c - xs)
+            want = np.where(nu * xs <= d, np.maximum(a, b), np.minimum(a, b))
+            assert np.array_equal(out.evaluate_many(xs), want)
 
 
 class TestRearrange:
@@ -201,8 +200,7 @@ class TestRearrange:
                 assert superlevel_measure(s, lam) == m
                 # the superlevel set of s is the centered interval of measure m
                 if m > 0:
-                    assert s.evaluate(-m / 2) > lam
-                    assert s.evaluate(m / 2 - 1e-12) > lam
+                    assert (s.evaluate_many([-m / 2, m / 2 - 1e-12]) > lam).all()
 
     def test_zero(self):
         assert rearrange(StepFunction.zero()).is_zero
