@@ -2,9 +2,10 @@
 scheme on the exact 1-D engine.
 
 The triangular scheme applies the schedule prefix H_1 .. H_n at outer step
-n, so n outer steps cost n(n+1)/2 polarizations in total.  Along every run
-the L^p norm is an exact invariant and the weighted mass against a radial
-nonincreasing weight never decreases; both are enforced at 1e-12.
+n: n(n+1)/2 applications over n outer steps, of which the shared driver
+computes only those that change the state.  Along every run the L^p norm
+is an exact invariant and the weighted mass against a radial nonincreasing
+weight never decreases; both are enforced at 1e-12.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
                      finite_result)
 from .step1d import (
     StepFunction,
-    deviation_measure,
-    lp_distance,
+    _abs_diff,
+    _deviation,
+    _first_mover,
+    _lp_pow,
+    _sup,
     lp_distance_pow,
     lp_norm,
     lp_norm_pow,
     merged_grid,
     polarize,
     rearrange,
-    sup_distance,
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -161,16 +164,20 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
             if mass < previous.weighted_mass - INVARIANT_TOL:
                 raise InvariantViolation(
                     f"weighted mass decreased at outer step {n}")
+        # One merged-grid difference for the three distances, reduced as
+        # lp_distance, sup_distance and deviation_measure reduce it.
+        diff, widths = _abs_diff(current, target)
         return ConvergenceRecord(
             n=n,
-            lp_error=lp_distance(current, target, p),
+            lp_error=_lp_pow(diff, widths, p) ** (1.0 / p),
             weighted_mass=mass,
-            sup_error=sup_distance(current, target),
-            deviation_measure=deviation_measure(current, target, eps),
+            sup_error=_sup(diff),
+            deviation_measure=_deviation(diff, widths, eps),
         )
 
     return _triangular_scheme(u, halfspaces, n_max, polarize, record,
-                              target=target, reverse=order == "reversed")
+                              target=target, reverse=order == "reversed",
+                              first_mover=_first_mover)
 
 
 def converge_restricted(u: StepFunction, rho: float = 0.1, n_max: int = 200,

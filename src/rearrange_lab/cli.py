@@ -1,7 +1,7 @@
 """Command-line front end: function I/O, experiments, property suites,
 schedule inspection.
 
-Exit codes: 0 success, 1 property-suite failure, 2 parse/usage error,
+Exit codes: 0 success, 1 property-suite failure, 2 parse, usage or file error,
 3 geometry failure (grid reflection escapes the array), 4 invariant
 violation during a convergence run.
 """
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GridFitError as exc:

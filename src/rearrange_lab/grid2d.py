@@ -137,6 +137,9 @@ class GridFunction:
             raise ValueError("half-width m must be >= 0")
         if not 0 < h < math.inf:
             raise ValueError(f"cell size h must be positive and finite, got {h}")
+        if h * h == math.inf:   # every mass and L^p error scales by h*h
+            raise ValueError(f"cell size h={h} is too large: the cell area "
+                             "h*h overflows the float range")
         v = np.array(values, dtype=float)
         if v.shape != (2 * m + 1, 2 * m + 1):
             raise ValueError(f"values must be a {2*m+1}x{2*m+1} array")

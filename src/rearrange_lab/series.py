@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -85,31 +86,91 @@ def finite_result(compute, what: str) -> float:
 
 
 def _triangular_scheme(start, steps, n_max, apply, record, target=None,
-                       reverse=False) -> ConvergenceSeries:
+                       reverse=False, first_mover=None) -> ConvergenceSeries:
     """Triangular scheme: outer step n applies steps[k % len(steps)] for
     k = 0 .. n-1 (n-1 .. 0 if reverse), then appends record(n, state,
-    previous record).  apply must return its input object when it changes
-    nothing.  An index seen to do so on the current state is skipped until
-    the state changes, and an outer step that keeps the identical state
-    repeats the previous record with the new n; both give the rows of the
-    naive loop.  Once the state equals target, no step is applied."""
+    previous record).  Once an outer step ends on the state target, no
+    step is applied.
+
+    The driver works per state, not per index.  apply must return its
+    input object when it changes nothing, and repeat that answer for the
+    same state and step.  From each new state the driver lists the
+    applications the naive loop makes next (``_upcoming``) and applies
+    them in order until one returns a new state.  When given,
+    first_mover(state, chunk of steps) is the position of the first step
+    of the chunk that apply may change state with, len(chunk) when it
+    rules out all; only the steps it does not rule out reach apply.  An
+    outer step that ends on the identical state repeats the previous
+    record with the new n.  Both give the rows of the naive loop."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     records = [record(0, start, None)]
-    current, noop = start, set()
+    current = before = start
     done = target is not None and current == target
-    for n in range(1, n_max + 1):
-        before = current
-        for k in range(n) if not done else ():
-            k = (n - 1 - k if reverse else k) % len(steps)
-            if k not in noop:
-                out = apply(current, steps[k])
-                if out is current:
-                    noop.add(k)
-                else:
-                    noop, current = set(), out
-        if current is not before:
-            done = target is not None and current == target
-        records.append(replace(records[-1], n=n) if current is before
-                       else record(n, current, records[-1]))
+    n = 1   # the outer step under way
+
+    def finish(until):
+        """Append the records of the outer steps n .. until-1."""
+        nonlocal n, before, done
+        while n < until:
+            if current is before:
+                records.append(replace(records[-1], n=n))
+            else:
+                records.append(record(n, current, records[-1]))
+                before = current
+                done = target is not None and current == target
+            n += 1
+
+    resume = (1, 0)   # outer step and position of the next application
+    while not done:
+        upcoming = _upcoming(*resume, n_max, len(steps), reverse)
+        if first_mover is not None:
+            upcoming = _not_ruled_out(current, upcoming, steps, first_mover)
+        for m, q, k in upcoming:
+            if m > n:
+                finish(m)
+                if done:
+                    break
+            out = apply(current, steps[k])
+            if out is not current:
+                current, resume = out, (m, q + 1)
+                break
+        else:
+            break
+    finish(n_max + 1)
     return ConvergenceSeries(tuple(records))
+
+
+def _upcoming(n, q, n_max, size, reverse):
+    """(outer step, position, index) of the applications the naive loop
+    makes from position q of outer step n on, while the state stays the
+    same.  Each index is listed at its first appearance only: a repeat on
+    the same state gives the same no-op.  That is the rest of step n, all
+    of step n + 1, and then the one new index m - 1 of each later step m."""
+    seen = set()
+    for m in range(n, n_max + 1):
+        if m <= n + 1:
+            positions = range(q if m == n else 0, m)
+        else:   # step m - 1 applied every index below m - 1
+            positions = (0 if reverse else m - 1,)
+        for pos in positions:
+            k = (m - 1 - pos if reverse else pos) % size
+            if k not in seen:
+                seen.add(k)
+                yield m, pos, k
+        if len(seen) == size:
+            return
+
+
+def _not_ruled_out(state, upcoming, steps, first_mover):
+    """The entries of upcoming whose step first_mover does not rule out on
+    state, asked about in chunks that double from eight entries."""
+    size = 8
+    while chunk := list(islice(upcoming, size)):
+        while chunk:
+            i = first_mover(state, [steps[k] for _, _, k in chunk])
+            if i == len(chunk):
+                break
+            yield chunk[i]
+            chunk = chunk[i + 1:]
+        size *= 2

@@ -183,6 +183,52 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     return StepFunction._from_canonical(out_b, out_v)
 
 
+# Cells (halfspaces times grid cells) that _first_mover decides in one pass;
+# bounds its memory whatever the piece count.
+_PASS_CELLS = 1 << 12
+
+
+def _first_mover(u: StepFunction, halfspaces) -> int:
+    """Position of the first of halfspaces that polarize(u, h) may not
+    return u for; len(halfspaces) when it returns u for all.
+
+    Decides a chunk of halfspaces per numpy pass in polarize's own float
+    arithmetic: the sorted union of the breakpoints and their mirror images
+    (zero-width cells dropped, as polarize's set drops repeats), midpoints
+    0.5*lo + 0.5*hi, and lookups by searchsorted(side="right"), which
+    equals bisect_right.  polarize changes u exactly where its cell value
+    differs from u on that cell.  A halfspace that mirrors the support
+    beyond the float range counts as a mover, so that polarize decides it
+    and raises where it must.  The halfspaces must be 1-D."""
+    count = len(halfspaces)
+    if u.is_zero:
+        return count
+    b = u.breakpoints
+    padded = np.concatenate(([0.0], u.values, [0.0]))
+    chunk = max(1, _PASS_CELLS // b.size)
+    for start in range(0, count, chunk):
+        hs = halfspaces[start:start + chunk]
+        nu = np.array([h.normal[0] for h in hs])
+        with np.errstate(over="ignore"):
+            c = nu * np.array([h.offset for h in hs])
+            c2 = 2.0 * c
+            escape = np.isinf(c2 - b[0]) | np.isinf(c2 - b[-1])
+        c2[escape] = 0.0   # keeps the arithmetic below finite
+        grid = np.sort(np.concatenate(
+            (np.broadcast_to(b, (len(hs), b.size)), c2[:, None] - b), axis=1))
+        lo, hi = grid[:, :-1], grid[:, 1:]
+        mid = 0.5 * lo + 0.5 * hi
+        a = padded[np.searchsorted(b, mid, side="right")]
+        r = padded[np.searchsorted(b, c2[:, None] - mid, side="right")]
+        in_h = np.where(nu[:, None] > 0, mid <= c[:, None], mid >= c[:, None])
+        val = np.where(in_h == (a >= r), a, r)
+        moves = (val != padded[np.searchsorted(b, lo, side="right")]) & (hi > lo)
+        moves = moves.any(axis=1) | escape
+        if moves.any():
+            return start + int(np.argmax(moves))
+    return count
+
+
 def _grouped_lengths(u: StepFunction):
     """Distinct positive values (ascending) with their total piece lengths."""
     if u.is_zero:
@@ -259,7 +305,10 @@ def lp_distance_pow(u: StepFunction, v: StepFunction, p: float) -> float:
     when it leaves the float range."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    diff, widths = _abs_diff(u, v)
+    return _lp_pow(*_abs_diff(u, v), p)
+
+
+def _lp_pow(diff, widths, p: float) -> float:
     return finite_result(lambda: math.fsum(
         (diff if p == 1 else diff ** p) * widths), "L^p distance")
 
@@ -269,15 +318,21 @@ def lp_distance(u: StepFunction, v: StepFunction, p: float) -> float:
 
 
 def sup_distance(u: StepFunction, v: StepFunction) -> float:
-    diff, _ = _abs_diff(u, v)
+    return _sup(_abs_diff(u, v)[0])
+
+
+def _sup(diff) -> float:
     return float(np.max(diff)) if diff.size else 0.0
 
 
 def deviation_measure(u: StepFunction, v: StepFunction, eps: float) -> float:
     """Measure of {|u - v| > eps}, exact on the merged grid."""
+    return _deviation(*_abs_diff(u, v), eps)
+
+
+def _deviation(diff, widths, eps: float) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
-    diff, widths = _abs_diff(u, v)
     return float(math.fsum(widths[diff > eps]))
 
 

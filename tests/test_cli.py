@@ -127,6 +127,16 @@ class TestPolarize:
                      "--output", str(tmp_path / "o.csv"),
                      "--by", "nu=1,d=0"]) == 2
 
+    @pytest.mark.parametrize("side", ["input", "output"])
+    def test_directory_as_file_is_exit_2(self, lattice_file, tmp_path,
+                                         capsys, side):
+        paths = {"input": str(lattice_file), "output": str(tmp_path / "o.csv")}
+        paths[side] = str(tmp_path)
+        assert main(["rearrange", "--input", paths["input"],
+                     "--output", paths["output"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
     def test_corrupt_input_is_exit_2(self, tmp_path):
         src = tmp_path / "bad.csv"
         src.write_text("site,value\n0,-3\n")
@@ -270,6 +280,18 @@ class TestConverge:
         src.write_text("1,inf\n0,0,0\n0,1,0\n0,0,0\n")
         assert main(["converge", "--input", str(src), "--output", str(out),
                      "--n-max", "3"]) == 2
+        assert not out.exists()
+
+    def test_cell_area_beyond_the_float_range_is_exit_2(self, tmp_path,
+                                                         capsys):
+        src = tmp_path / "g.csv"
+        out = tmp_path / "s.csv"
+        src.write_text("1,1e200\n0,0,0\n0,1,0\n0,0,0\n")
+        assert main(["converge", "--input", str(src), "--output", str(out),
+                     "--n-max", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cell size h=1e+200 is too large: the cell area h*h "
+            "overflows the float range\n")
         assert not out.exists()
 
     # pytest turns warnings into errors, so a numpy overflow warning fails

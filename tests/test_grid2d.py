@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,10 @@ class TestGridFunction:
             GridFunction(1, 0.0, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             GridFunction(1, float("inf"), np.zeros((3, 3)))
+        h_max = math.sqrt(sys.float_info.max)   # h*h is finite up to here
+        GridFunction(1, h_max, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="cell area h\\*h overflows"):
+            GridFunction(1, math.nextafter(h_max, math.inf), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             GridFunction(1, 1.0, -np.ones((3, 3)))
 

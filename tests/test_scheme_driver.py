@@ -48,6 +48,7 @@ from rearrange_lab.series import (
 )
 from rearrange_lab.step1d import (
     StepFunction,
+    _first_mover,
     deviation_measure,
     lp_distance,
     lp_norm,
@@ -241,6 +242,126 @@ def test_driver_does_not_assume_idempotence():
             state = apply(state, [1, 2][k % 2])
         naive.append(state.value)
     assert [r.lp_error for r in got] == naive == [0, 1, 4, 8, 9, 9]
+
+
+def naive_scheme(start, steps, n_max, apply, record, target=None,
+                 reverse=False):
+    """The driver's contract read literally: every application of every
+    outer step, a fresh record per step, and no step applied once an outer
+    step ends on target."""
+    records = [record(0, start, None)]
+    state = start
+    done = target is not None and state == target
+    for n in range(1, n_max + 1):
+        if not done:
+            for k in (range(n - 1, -1, -1) if reverse else range(n)):
+                state = apply(state, steps[k % len(steps)])
+            done = target is not None and state == target
+        records.append(record(n, state, records[-1]))
+    return ConvergenceSeries(tuple(records))
+
+
+def changes(apply, log):
+    """apply, logging each new state it returns."""
+    def logged(state, step):
+        out = apply(state, step)
+        if out is not state:
+            log.append(step1d.dumps(out))
+        return out
+    return logged
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_short_step_list_matches_naive_loop(seed, reverse, size):
+    """Fewer steps than outer steps: indices wrap, so an outer step repeats
+    indices and the look-ahead meets every index within two steps."""
+    rng = random.Random(seed)
+    u = generators.random_step_function(rng, span=1.0)
+    target = rearrange(u)
+    steps = Schedule(1, rho=0.1).first(size)
+    steps += [generators.random_halfspace_1d(rng, signed_offset=True),
+              Halfspace.line(1, 1e308)]   # mirrors beyond the float range
+    rng.shuffle(steps)
+
+    def record(n, state, previous):
+        return ConvergenceRecord(n, lp_distance(state, target, 1.0), 0.0,
+                                 sup_distance(state, target), 0.0)
+
+    want_log, plain_log, got_log = [], [], []
+    want = naive_scheme(u, steps, 12, changes(polarize, want_log), record,
+                        target, reverse)
+    for first_mover, log in ((None, plain_log), (_first_mover, got_log)):
+        got = _triangular_scheme(u, steps, 12, changes(polarize, log), record,
+                                 target, reverse, first_mover=first_mover)
+        assert got.dumps() == want.dumps()
+        assert log == want_log
+
+
+def test_error_raised_after_the_same_changes():
+    """A mirror image beyond the float range raises in polarize, after the
+    same state changes as in the naive loop."""
+    u = StepFunction([0, 1, 2], [1.0, 2.0])
+    steps = [*Schedule(1, rho=1.0).first(5), Halfspace.line(1, -1e308)]
+
+    def record(n, state, previous):
+        return ConvergenceRecord(n, 0.0, 0.0, 0.0, 0.0)
+
+    want_log, got_log = [], []
+    with pytest.raises(ValueError, match="beyond the float range"):
+        naive_scheme(u, steps, 8, changes(polarize, want_log), record)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        _triangular_scheme(u, steps, 8, changes(polarize, got_log), record,
+                           first_mover=_first_mover)
+    assert got_log == want_log != []
+
+
+class Residue:
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("goal", range(4))
+def test_target_reached_before_the_end_of_a_step(reverse, goal):
+    """The state may equal target in the middle of an outer step and move
+    on; only an outer step that ends on target stops the scheme.  Forward
+    with goal 2, outer step 2 passes through 2 and ends on 0."""
+
+    def apply(state, step):
+        return state if step == 0 else Residue((state.value + step) % 4)
+
+    def record(n, state, previous):
+        return ConvergenceRecord(n, float(state.value), 0.0, 0.0, 0.0)
+
+    steps = [1, 2, 0]
+    want = naive_scheme(Residue(0), steps, 9, apply, record, Residue(goal),
+                        reverse)
+    got = _triangular_scheme(Residue(0), steps, 9, apply, record,
+                             Residue(goal), reverse)
+    assert got.dumps() == want.dumps()
+
+
+def test_polarize_runs_once_per_state_change(monkeypatch):
+    """On a stalled draw of the benchmark's kind, every call of
+    analysis.polarize changes the state: the batched decision rules out
+    the no-ops before polarize sees them."""
+    u = generators.random_step_function(random.Random(11), span=1.0)
+    changed = []
+
+    def counting(state, h):
+        out = polarize(state, h)
+        changed.append(out is not state)
+        return out
+
+    monkeypatch.setattr(analysis, "polarize", counting)
+    series = converge_restricted(u, rho=0.1, n_max=200)
+    assert series.final.lp_error > 0   # the state never reached u*
+    assert changed and all(changed)
 
 
 # -- the no-op contract the memo relies on -----------------------------------

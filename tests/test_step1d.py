@@ -3,13 +3,15 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from rearrange_lab import generators
 from rearrange_lab.errors import ParseError
-from rearrange_lab.halfspace import Halfspace
+from rearrange_lab import step1d
+from rearrange_lab.halfspace import Halfspace, Schedule
 from rearrange_lab.step1d import (
     StepFunction,
+    _first_mover,
     deviation_measure,
     dumps,
     loads,
@@ -158,6 +160,92 @@ class TestPolarize:
             a, b = u.evaluate_many(xs), u.evaluate_many(2 * c - xs)
             want = np.where(nu * xs <= d, np.maximum(a, b), np.minimum(a, b))
             assert np.array_equal(out.evaluate_many(xs), want)
+
+
+def scalar_first_mover(u, halfspaces):
+    """_first_mover by one polarize call per halfspace; a mirror image of
+    the support beyond the float range is left to polarize as a mover."""
+    b = u.breakpoints.tolist()
+    for i, h in enumerate(halfspaces):
+        c2 = 2.0 * h.normal[0] * h.offset
+        if b and (math.isinf(c2 - b[0]) or math.isinf(c2 - b[-1])):
+            return i
+        if polarize(u, h) is not u:
+            return i
+    return len(halfspaces)
+
+
+# Dyadic eighths make repeats and exact mirror images common; the extremes
+# reach overflow of the mirror images, and -0.0 and subnormal breakpoints.
+EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-20, 1e308, -1e308,
+                           1.7e308, -1.7e308])
+POINT = st.one_of(st.integers(-64, 64).map(lambda k: k / 8), EXTREME,
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def decision_states(draw):
+    """A generator input, or one on arbitrary points, as drawn, after a few
+    schedule steps, or rearranged, so that no-ops are common; or zero."""
+    kind = draw(st.sampled_from(["generator", "points", "zero"]))
+    if kind == "zero":
+        return StepFunction.zero()
+    if kind == "generator":
+        u = generators.random_step_function(
+            random.Random(draw(st.integers(0, 10**9))), span=1.0)
+    else:
+        b = sorted(draw(st.lists(POINT, min_size=2, max_size=8, unique=True)))
+        # unique keeps both zeros; the breakpoints must increase strictly
+        assume(all(x < y for x, y in zip(b, b[1:])))
+        assume(math.isfinite(b[-1] - b[0]))
+        u = StepFunction(b, draw(st.lists(
+            st.integers(0, 3).map(float), min_size=len(b) - 1,
+            max_size=len(b) - 1)))
+    then = draw(st.sampled_from(["as drawn", "stepped", "rearranged"]))
+    if then == "rearranged":
+        try:
+            return rearrange(u)
+        except ValueError:   # a piece below one float step of the measure
+            reject()
+    if then == "stepped":
+        for h in Schedule(1, rho=0.1).first(draw(st.integers(1, 12))):
+            u = polarize(u, h)
+    return u
+
+
+HALFSPACE = st.one_of(
+    st.builds(lambda n: Schedule(1, rho=0.1).nth(n), st.integers(1, 400)),
+    st.builds(Halfspace.line, st.sampled_from([1.0, -1.0]),
+              st.one_of(st.integers(-128, 128).map(lambda k: k / 16), POINT)),
+    st.builds(lambda seed: generators.random_halfspace_1d(
+        random.Random(seed), signed_offset=True), st.integers(0, 10**9)))
+
+
+class TestFirstMover:
+    @given(decision_states(), st.lists(HALFSPACE, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scalar_scan(self, u, halfspaces):
+        assert _first_mover(u, halfspaces) == scalar_first_mover(u, halfspaces)
+
+    def test_bounded_passes_match_scalar_scan(self, monkeypatch):
+        # Two halfspaces per pass on these inputs, so a mover sits in a
+        # later pass and at either end of one.
+        rng = random.Random(8)
+        halfspaces = Schedule(1, rho=0.1).first(60)
+        for _ in range(20):
+            u = generators.random_step_function(rng, span=1.0)
+            for h in halfspaces[:rng.randint(0, 30)]:
+                u = polarize(u, h)
+            monkeypatch.setattr(step1d, "_PASS_CELLS", 2 * u.breakpoints.size)
+            for start in range(0, 60, 7):
+                assert (_first_mover(u, halfspaces[start:])
+                        == scalar_first_mover(u, halfspaces[start:]))
+
+    def test_mirror_image_beyond_the_float_range(self):
+        u = StepFunction.indicator(0, 1)
+        noop = Halfspace.line(1, 0.5)
+        for far in (Halfspace.line(1, 1e308), Halfspace.line(1, -1e308)):
+            assert _first_mover(u, [noop, far, noop]) == 1
 
 
 class TestRearrange:
