@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import random
 import sys
@@ -187,8 +188,8 @@ def cmd_schedule(args) -> int:
     if args.count < 1:
         raise ParseError("count must be >= 1")
     schedule = Schedule(dimension=args.dim, rho=args.rho)
-    for n in range(1, args.count + 1):
-        print(schedule.nth(n).encode())
+    for h in itertools.islice(schedule._halfspaces(), args.count):
+        print(h.encode())
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ row symmetrization are exact sort-and-assign operations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -140,6 +141,9 @@ class GridFunction:
         if h * h == math.inf:   # every mass and L^p error scales by h*h
             raise ValueError(f"cell size h={h} is too large: the cell area "
                              "h*h overflows the float range")
+        if h * h < sys.float_info.min:   # h < 2**-511
+            raise ValueError(f"cell size h={h} is too small: the cell area "
+                             "h*h underflows below the smallest normal double")
         v = np.array(values, dtype=float)
         if v.shape != (2 * m + 1, 2 * m + 1):
             raise ValueError(f"values must be a {2*m+1}x{2*m+1} array")

@@ -2,12 +2,13 @@
 
 A closed halfspace is H = {x : <x, normal> <= offset} in R^1 or R^2.  All
 operations here are pure; Halfspace and Schedule values are immutable and
-safe to share between threads.  Schedule enumeration is by index and keeps
-no internal state.
+safe to share between threads.  A schedule keeps no internal state: each
+enumeration starts at its first entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -113,42 +114,30 @@ def _dyadic_level_count(rho: float, m: int) -> int:
     return (math.floor(math.ldexp(rho, m)) + 1) // 2
 
 
-def _dyadic_offset(rho: float, t: int) -> float:
-    """t-th term (1-based) of the breadth-first dyadic offsets in (0, rho]."""
-    if t < 1:
-        raise ValueError("offset index must be >= 1")
-    m = 1
-    t0 = t - 1
-    while True:
-        count = _dyadic_level_count(rho, m)
-        if t0 < count:
-            return (2 * t0 + 1) / (1 << m)
-        t0 -= count
-        m += 1
+def _entries(dimension: int, rho: float):
+    """The schedule's (sign, offset) pairs in 1-D, or (angle, offset) pairs
+    in 2-D, in order and without end.
 
-
-def _dyadic_angle(a: int) -> float:
-    """a-th term (1-based) of the breadth-first dyadic angles 2*pi*k/2**m."""
-    if a < 1:
-        raise ValueError("angle index must be >= 1")
-    m = 1
-    a0 = a - 1
-    while True:
-        count = 1 << m
-        if a0 < count:
-            return _TWO_PI * a0 / count
-        a0 -= count
-        m += 1
-
-
-def _cantor_pair(n: int) -> tuple[int, int]:
-    """n-th (1-based) pair (a, b), a, b >= 1, by diagonals a + b = const."""
-    n0 = n - 1
-    s = 2
-    while n0 >= s - 1:
-        n0 -= s - 1
-        s += 1
-    return n0 + 1, s - (n0 + 1)
+    Offsets are the dyadic k / 2**m <= rho (k odd, m >= 1) and angles the
+    2*pi*k / 2**m (0 <= k < 2**m), each breadth-first by level m.  In 1-D
+    each offset comes with sign +1, then -1.  In 2-D the n-th pair takes
+    the a-th angle and the b-th offset along the diagonals a + b = 2, 3,
+    ... of (a, b), a ascending on each."""
+    offsets = (
+        (2 * k + 1) / (1 << m) for m in itertools.count(1)
+        for k in range(_dyadic_level_count(rho, m)))
+    if dimension == 1:
+        for d in offsets:
+            yield 1.0, d
+            yield -1.0, d
+        return
+    angles = (_TWO_PI * a0 / (1 << m) for m in itertools.count(1)
+              for a0 in range(1 << m))
+    first_angles, first_offsets = [], []
+    for theta, d in zip(angles, offsets):
+        first_angles.append(theta)
+        first_offsets.append(d)
+        yield from zip(first_angles, reversed(first_offsets))
 
 
 @dataclass(frozen=True)
@@ -175,30 +164,27 @@ class Schedule:
         if not 2.0 ** -1022 <= self.rho < 2.0 ** 1023:
             raise ValueError(f"rho must lie in [2**-1022, 2**1023), got {self.rho}")
 
+    def _halfspaces(self):
+        """The halfspaces of the enumeration, in order and without end."""
+        make = Halfspace.line if self.dimension == 1 else Halfspace.plane
+        return itertools.starmap(make, _entries(self.dimension, self.rho))
+
     def nth(self, n: int) -> Halfspace:
         """n-th halfspace of the enumeration, 1-based; stateless."""
         if n < 1:
             raise ValueError("schedule index must be >= 1")
-        if self.dimension == 1:
-            sign = 1.0 if n % 2 == 1 else -1.0
-            return Halfspace.line(sign, _dyadic_offset(self.rho, (n + 1) // 2))
-        a, b = _cantor_pair(n)
-        return Halfspace.plane(_dyadic_angle(a), _dyadic_offset(self.rho, b))
+        return next(itertools.islice(self._halfspaces(), n - 1, None))
 
     def first(self, count: int) -> list[Halfspace]:
-        return [self.nth(n) for n in range(1, count + 1)]
+        return list(itertools.islice(self._halfspaces(), count))
 
 
 @lru_cache(maxsize=16)
 def _schedule_arrays(schedule: Schedule, n_max: int):
     """(angles, offsets) of the first n_max entries, for vectorized scans."""
-    angles = np.empty(n_max)
-    offsets = np.empty(n_max)
-    for i in range(n_max):
-        h = schedule.nth(i + 1)
-        angles[i] = h.angle()
-        offsets[i] = h.offset
-    return angles, offsets
+    halfspaces = schedule.first(n_max)
+    return (np.array([h.angle() for h in halfspaces]),
+            np.array([h.offset for h in halfspaces]))
 
 
 def density_witness(schedule: Schedule, h: Halfspace, eps: float,

@@ -12,7 +12,6 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -121,17 +120,53 @@ class StepFunction:
 
 def _canonicalize(b: np.ndarray, v: np.ndarray):
     """Merge equal neighbours and strip zero ends; empty means u == 0."""
-    keep = np.empty(v.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(v[1:], v[:-1], out=keep[1:])
-    idx = np.flatnonzero(keep)
-    nv = v[idx]
-    nb = np.append(b[idx], b[-1])
-    nz = np.flatnonzero(nv)
+    keep = np.empty(b.size, dtype=bool)
+    keep[0] = keep[-1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:-1])
+    idx = keep.nonzero()[0]
+    nb = b[idx]
+    nv = v[idx[:-1]]
+    nz = nv.nonzero()[0]
     if nz.size == 0:
         return _EMPTY.copy(), _EMPTY.copy()
     lo, hi = nz[0], nz[-1]
     return nb[lo:hi + 2], nv[lo:hi + 1]
+
+
+def _mirrored_cells(b: np.ndarray, padded: np.ndarray, nu, c):
+    """The sorted grid of the breakpoints b and their mirror images across
+    c, the polarized value on each of its cells, and which cells move: a
+    cell of positive width whose polarized value differs from u there.
+
+    nu and c give the halfspace {x : nu*x <= nu*c}, whose boundary point c
+    mirrors x to 2c - x: scalars for one halfspace, or columns of shape
+    (k, 1) for a chunk of k, one grid per row.  u(x) is padded[count of
+    breakpoints <= x], 0 outside the support.  Each cell is read at its
+    midpoint 0.5*lo + 0.5*hi (lo + hi may overflow) and at the midpoint's
+    mirror image; the larger value goes to the h side.  The sort is stable
+    over (mirror images, breakpoints), so a mirror image equal to a
+    breakpoint closes a zero-width cell and the next cell starts at u's own
+    breakpoint."""
+    c2 = 2.0 * c
+    mirrors = c2 - b
+    grid = np.empty((*mirrors.shape[:-1], 2 * b.size))
+    grid[..., :b.size] = mirrors
+    grid[..., b.size:] = b
+    grid.sort(kind="stable")
+    lo, hi = grid[..., :-1], grid[..., 1:]
+    mid = 0.5 * lo + 0.5 * hi
+    a = padded[b.searchsorted(mid, side="right")]
+    r = padded[b.searchsorted(c2 - mid, side="right")]
+    in_h = nu * mid <= nu * c
+    val = np.where(in_h == (a >= r), a, r)
+    moved = (val != padded[b.searchsorted(lo, side="right")]) & (hi > lo)
+    return grid, val, moved
+
+
+def _padded(u: StepFunction) -> np.ndarray:
+    padded = np.zeros(u.values.size + 2)
+    padded[1:-1] = u.values
+    return padded
 
 
 def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
@@ -146,41 +181,24 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
         return u
     nu = h.normal[0]
     c = nu * h.offset   # boundary point of h; sigma(x) = 2c - x
-    c2 = 2.0 * c
-    b = u.breakpoints.tolist()
-    uvals = u.values.tolist()
-    if math.isinf(c2 - b[0]) or math.isinf(c2 - b[-1]):
+    b0, b1 = u.breakpoints[[0, -1]].tolist()
+    if math.isinf(2.0 * c - b0) or math.isinf(2.0 * c - b1):
         # Some mirror image is beyond the float range.  If the support lies
         # in h nothing moves; otherwise the result is not representable.
-        if (b[-1] <= c) if nu > 0 else (b[0] >= c):
+        if (b1 <= c) if nu > 0 else (b0 >= c):
             return u
         raise ValueError("the mirror image of the support across "
                          f"{h.encode()} is beyond the float range")
-    grid = sorted({*b, *(c2 - x for x in b)})
-    # u(x) is padded[count of breakpoints <= x].  Cell midpoints increase
-    # and their mirror images decrease, so each search narrows the next.
-    padded = [0.0, *uvals, 0.0]
-    k, j = 0, len(b)
-    # Runs of equal value, opened by an implicit zero run; leading and
-    # trailing zero cells merge into the zero runs at either end.
-    out_b, out_v = [], [0.0]
-    for lo, hi in zip(grid, grid[1:]):
-        mid = 0.5 * lo + 0.5 * hi   # lo + hi may overflow
-        k = bisect_right(b, mid, k)
-        j = bisect_right(b, c2 - mid, 0, j)
-        a, r = padded[k], padded[j]
-        in_h = mid <= c if nu > 0 else mid >= c
-        val = (a if a >= r else r) if in_h else (r if a >= r else a)
-        if val != out_v[-1]:
-            out_b.append(lo)
-            out_v.append(val)
-    if out_v[-1]:
-        out_b.append(grid[-1])
-        out_v.append(0.0)
-    out_v = out_v[1:-1]
-    if out_v == uvals and out_b == b:
+    grid, val, moved = _mirrored_cells(u.breakpoints, _padded(u), nu, c)
+    # u is constant on each cell, so the result is u unless a cell moves
+    if not moved.any():
         return u
-    return StepFunction._from_canonical(out_b, out_v)
+    # each start of a cell of positive width, and the grid's end
+    kept = np.empty(grid.size, dtype=bool)
+    kept[-1] = True
+    np.greater(grid[1:], grid[:-1], out=kept[:-1])
+    return StepFunction._from_canonical(
+        *_canonicalize(grid[kept], val[kept[:-1]]))
 
 
 # Cells (halfspaces times grid cells) that _first_mover decides in one pass;
@@ -192,38 +210,25 @@ def _first_mover(u: StepFunction, halfspaces) -> int:
     """Position of the first of halfspaces that polarize(u, h) may not
     return u for; len(halfspaces) when it returns u for all.
 
-    Decides a chunk of halfspaces per numpy pass in polarize's own float
-    arithmetic: the sorted union of the breakpoints and their mirror images
-    (zero-width cells dropped, as polarize's set drops repeats), midpoints
-    0.5*lo + 0.5*hi, and lookups by searchsorted(side="right"), which
-    equals bisect_right.  polarize changes u exactly where its cell value
-    differs from u on that cell.  A halfspace that mirrors the support
-    beyond the float range counts as a mover, so that polarize decides it
-    and raises where it must.  The halfspaces must be 1-D."""
+    Decides a chunk of halfspaces per numpy pass through polarize's own
+    kernel, _mirrored_cells, as polarize does: a halfspace moves u when
+    some cell moves.  A halfspace that mirrors the support beyond the
+    float range counts as a mover, so that polarize decides it and raises
+    where it must.  The halfspaces must be 1-D."""
     count = len(halfspaces)
     if u.is_zero:
         return count
     b = u.breakpoints
-    padded = np.concatenate(([0.0], u.values, [0.0]))
+    padded = _padded(u)
     chunk = max(1, _PASS_CELLS // b.size)
     for start in range(0, count, chunk):
         hs = halfspaces[start:start + chunk]
-        nu = np.array([h.normal[0] for h in hs])
+        nu = np.array([[h.normal[0]] for h in hs])
+        c = nu * np.array([[h.offset] for h in hs])
         with np.errstate(over="ignore"):
-            c = nu * np.array([h.offset for h in hs])
-            c2 = 2.0 * c
-            escape = np.isinf(c2 - b[0]) | np.isinf(c2 - b[-1])
-        c2[escape] = 0.0   # keeps the arithmetic below finite
-        grid = np.sort(np.concatenate(
-            (np.broadcast_to(b, (len(hs), b.size)), c2[:, None] - b), axis=1))
-        lo, hi = grid[:, :-1], grid[:, 1:]
-        mid = 0.5 * lo + 0.5 * hi
-        a = padded[np.searchsorted(b, mid, side="right")]
-        r = padded[np.searchsorted(b, c2[:, None] - mid, side="right")]
-        in_h = np.where(nu[:, None] > 0, mid <= c[:, None], mid >= c[:, None])
-        val = np.where(in_h == (a >= r), a, r)
-        moves = (val != padded[np.searchsorted(b, lo, side="right")]) & (hi > lo)
-        moves = moves.any(axis=1) | escape
+            escape = np.isinf(2.0 * c - b[0]) | np.isinf(2.0 * c - b[-1])
+        c[escape] = 0.0   # keeps the kernel's arithmetic finite
+        moves = _mirrored_cells(b, padded, nu, c)[2].any(axis=1) | escape[:, 0]
         if moves.any():
             return start + int(np.argmax(moves))
     return count
@@ -255,6 +260,10 @@ def rearrange(u: StepFunction) -> StepFunction:
     cumulative = np.cumsum(totals[::-1])
     half = cumulative / 2.0
     breakpoints = np.concatenate([-half[::-1], half])
+    if not np.all(breakpoints[1:] > breakpoints[:-1]):
+        raise ValueError("the rearranged breakpoints collapse: a piece is "
+                         "narrower than one float step of the cumulative "
+                         "measure at its place")
     values = np.concatenate([dvals[::-1], dvals[1:]])
     out = StepFunction(breakpoints, values)
     return u if out == u else out

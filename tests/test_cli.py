@@ -294,6 +294,32 @@ class TestConverge:
             "overflows the float range\n")
         assert not out.exists()
 
+    def test_cell_area_below_the_normal_range_is_exit_2(self, tmp_path,
+                                                        capsys):
+        # h*h = 1e-340 underflows to 0, so every mass and error read 0
+        src = tmp_path / "g.csv"
+        out = tmp_path / "s.csv"
+        src.write_text("1,1e-170\n0,0,0\n0,1,0\n0,0,0\n")
+        assert main(["converge", "--input", str(src), "--output", str(out),
+                     "--n-max", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cell size h=1e-170 is too small: the cell area h*h "
+            "underflows below the smallest normal double\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rearrange", "converge"])
+    def test_piece_below_a_float_step_of_the_measure_is_exit_2(
+            self, tmp_path, capsys, command):
+        # 1e-17 is below one float step of the cumulative measure 1 + 1e-17
+        src = tmp_path / "thin.csv"
+        out = tmp_path / "o.csv"
+        src.write_text("breakpoint,value\n0,1\n1e-17,2\n1,\n")
+        assert main([command, "--input", str(src), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "rearranged breakpoints collapse" in err
+        assert "strictly increasing" not in err
+        assert not out.exists()
+
     # pytest turns warnings into errors, so a numpy overflow warning fails
     # these as well.
     @pytest.mark.parametrize("text, n_max", [

@@ -1,6 +1,7 @@
 """The four CSV formats round-trip bit-exactly at extreme values: the
-subnormal 5e-324, the largest double (the largest cell size for a grid),
-m = 0 grids and lattice sites past the 17 digits a float would print."""
+subnormal 5e-324, the largest double, a grid's smallest and largest cell
+sizes, m = 0 grids and lattice sites past the 17 digits a float would
+print."""
 
 import math
 import sys
@@ -17,6 +18,7 @@ from rearrange_lab.step1d import StepFunction
 TINY = 5e-324
 HUGE = sys.float_info.max
 H_MAX = math.sqrt(HUGE)   # the largest cell size h whose area h*h is finite
+H_MIN = 2.0 ** -511       # the smallest h whose area h*h is a normal double
 
 
 def _extreme(floats):
@@ -41,8 +43,8 @@ def step_functions(draw):
 @st.composite
 def grid_functions(draw):
     m = draw(st.integers(0, 2))
-    h = draw(st.one_of(st.sampled_from([TINY, 1.0, H_MAX]),
-                       st.floats(min_value=TINY, max_value=H_MAX)))
+    h = draw(st.one_of(st.sampled_from([H_MIN, 1.0, H_MAX]),
+                       st.floats(min_value=H_MIN, max_value=H_MAX)))
     cells = (2 * m + 1) ** 2
     values = draw(st.lists(VALUE, min_size=cells, max_size=cells))
     return GridFunction(m, h, np.reshape(values, (2 * m + 1, 2 * m + 1)))
@@ -74,7 +76,7 @@ def test_lattice(u):
 
 @settings(deadline=None)
 @given(u=grid_functions())
-@example(u=GridFunction(0, TINY, [[HUGE]]))
+@example(u=GridFunction(0, H_MIN, [[HUGE]]))
 @example(u=GridFunction(0, H_MAX, [[TINY]]))
 def test_grid2d(u):
     _roundtrip(grid2d.dumps, grid2d.loads, u)

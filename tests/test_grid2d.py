@@ -88,6 +88,10 @@ class TestGridFunction:
         GridFunction(1, h_max, np.zeros((3, 3)))
         with pytest.raises(ValueError, match="cell area h\\*h overflows"):
             GridFunction(1, math.nextafter(h_max, math.inf), np.zeros((3, 3)))
+        h_min = 2.0 ** -511   # h*h is a normal double from here on
+        GridFunction(1, h_min, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="cell area h\\*h underflows"):
+            GridFunction(1, math.nextafter(h_min, 0.0), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             GridFunction(1, 1.0, -np.ones((3, 3)))
 

@@ -4,10 +4,13 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from rearrange_lab import halfspace
 from rearrange_lab.errors import ParseError
 from rearrange_lab.halfspace import (
+    _TWO_PI,
     Halfspace,
     Schedule,
+    _dyadic_level_count,
     density_witness,
     halfspace_distance,
 )
@@ -96,12 +99,84 @@ class TestDistance:
             halfspace_distance(Halfspace.line(1, 0), Halfspace.plane(0, 0))
 
 
+# The schedule by index, as it was enumerated before the one generator:
+# each index walks the dyadic levels (and the Cantor diagonals) again.
+def _dyadic_offset(rho: float, t: int) -> float:
+    """t-th term (1-based) of the breadth-first dyadic offsets in (0, rho]."""
+    if t < 1:
+        raise ValueError("offset index must be >= 1")
+    m = 1
+    t0 = t - 1
+    while True:
+        count = _dyadic_level_count(rho, m)
+        if t0 < count:
+            return (2 * t0 + 1) / (1 << m)
+        t0 -= count
+        m += 1
+
+
+def _dyadic_angle(a: int) -> float:
+    """a-th term (1-based) of the breadth-first dyadic angles 2*pi*k/2**m."""
+    if a < 1:
+        raise ValueError("angle index must be >= 1")
+    m = 1
+    a0 = a - 1
+    while True:
+        count = 1 << m
+        if a0 < count:
+            return _TWO_PI * a0 / count
+        a0 -= count
+        m += 1
+
+
+def _cantor_pair(n: int) -> tuple[int, int]:
+    """n-th (1-based) pair (a, b), a, b >= 1, by diagonals a + b = const."""
+    n0 = n - 1
+    s = 2
+    while n0 >= s - 1:
+        n0 -= s - 1
+        s += 1
+    return n0 + 1, s - (n0 + 1)
+
+
+def reference_nth(schedule, n):
+    if schedule.dimension == 1:
+        sign = 1.0 if n % 2 == 1 else -1.0
+        return Halfspace.line(sign, _dyadic_offset(schedule.rho, (n + 1) // 2))
+    a, b = _cantor_pair(n)
+    return Halfspace.plane(_dyadic_angle(a), _dyadic_offset(schedule.rho, b))
+
+
 class TestSchedule:
     def test_first_three_1d(self):
         s = Schedule(dimension=1, rho=1.0)
         assert s.nth(1) == Halfspace.line(1, 0.5)
         assert s.nth(2) == Halfspace.line(-1, 0.5)
         assert s.nth(3) == Halfspace.line(1, 0.25)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("rho", [2.0 ** -1022, 0.1, 1.0, 3.0, 2.0 ** 1022])
+    def test_matches_the_reference_by_index(self, dimension, rho):
+        s = Schedule(dimension=dimension, rho=rho)
+        want = [reference_nth(s, n) for n in range(1, 301)]
+        got = s.first(300)
+        assert [(h.normal, h.offset, h.theta) for h in got] == [
+            (h.normal, h.offset, h.theta) for h in want]
+        for n in (1, 2, 3, 45, 46, 300):
+            assert s.nth(n) == want[n - 1]
+            assert s.nth(n).theta == want[n - 1].theta
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_first_counts_each_level_once(self, dimension, monkeypatch):
+        levels = []
+
+        def counted(rho, m):
+            levels.append(m)
+            return _dyadic_level_count(rho, m)
+
+        monkeypatch.setattr(halfspace, "_dyadic_level_count", counted)
+        Schedule(dimension=dimension, rho=0.1).first(200)
+        assert levels == list(range(1, len(levels) + 1))
 
     def test_offsets_positive_and_bounded(self):
         for rho in (1.0, 0.1, 0.3):

@@ -1,9 +1,12 @@
 import math
 import random
+import re
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import (
+    assume, example, given, reject, settings, strategies as st)
 
 from rearrange_lab import generators
 from rearrange_lab.errors import ParseError
@@ -248,6 +251,94 @@ class TestFirstMover:
             assert _first_mover(u, [noop, far, noop]) == 1
 
 
+# The lookup loop polarize ran before the mirrored-grid kernel, verbatim:
+# a bisect per cell and its own run assembly, kept as the reference.
+def lookup_polarize(u: StepFunction, h: Halfspace) -> StepFunction:
+    """Two-point rearrangement of u across h: the larger of u(x), u(sigma(x))
+    goes to the h side, the smaller to the other side.  Exact on the grid of
+    u's breakpoints and their mirror images; equimeasurable with u.  Returns
+    u itself when nothing changes.  Raises ValueError when a mirror image is
+    beyond the float range and the support does not lie in h."""
+    if h.dimension != 1:
+        raise ValueError("step functions are one-dimensional")
+    if u.is_zero:
+        return u
+    nu = h.normal[0]
+    c = nu * h.offset   # boundary point of h; sigma(x) = 2c - x
+    c2 = 2.0 * c
+    b = u.breakpoints.tolist()
+    uvals = u.values.tolist()
+    if math.isinf(c2 - b[0]) or math.isinf(c2 - b[-1]):
+        # Some mirror image is beyond the float range.  If the support lies
+        # in h nothing moves; otherwise the result is not representable.
+        if (b[-1] <= c) if nu > 0 else (b[0] >= c):
+            return u
+        raise ValueError("the mirror image of the support across "
+                         f"{h.encode()} is beyond the float range")
+    grid = sorted({*b, *(c2 - x for x in b)})
+    # u(x) is padded[count of breakpoints <= x].  Cell midpoints increase
+    # and their mirror images decrease, so each search narrows the next.
+    padded = [0.0, *uvals, 0.0]
+    k, j = 0, len(b)
+    # Runs of equal value, opened by an implicit zero run; leading and
+    # trailing zero cells merge into the zero runs at either end.
+    out_b, out_v = [], [0.0]
+    for lo, hi in zip(grid, grid[1:]):
+        mid = 0.5 * lo + 0.5 * hi   # lo + hi may overflow
+        k = bisect_right(b, mid, k)
+        j = bisect_right(b, c2 - mid, 0, j)
+        a, r = padded[k], padded[j]
+        in_h = mid <= c if nu > 0 else mid >= c
+        val = (a if a >= r else r) if in_h else (r if a >= r else a)
+        if val != out_v[-1]:
+            out_b.append(lo)
+            out_v.append(val)
+    if out_v[-1]:
+        out_b.append(grid[-1])
+        out_v.append(0.0)
+    out_v = out_v[1:-1]
+    if out_v == uvals and out_b == b:
+        return u
+    return StepFunction._from_canonical(out_b, out_v)
+
+
+class TestKernelMatchesLookup:
+    @given(decision_states(), HALFSPACE)
+    @settings(max_examples=400, deadline=None)
+    # +-0.0 breakpoints across boundary points -0.0 and 0.0: the sign of a
+    # zero breakpoint is kept from u where a mirror image equals it
+    @example(StepFunction([-0.0, 1.0], [1.0]), Halfspace.line(-1, 0.0))
+    @example(StepFunction([0.0, 1.0], [1.0]), Halfspace.line(-1, 0.0))
+    @example(StepFunction([-1.0, -0.0], [2.0]), Halfspace.line(-1, -0.0))
+    @example(StepFunction([-1.0, 0.0], [2.0]), Halfspace.line(-1, -0.0))
+    @example(StepFunction([-1.0, -0.0, 1.0], [1.0, 2.0]),
+             Halfspace.line(-1, 0.0))
+    @example(StepFunction([-1.0, 0.0, 1.0], [2.0, 1.0]),
+             Halfspace.line(-1, -0.0))
+    # one-ulp and subnormal cells that both drop, a known loss of data
+    @example(StepFunction([1.0, 1.0000000000000002, 1.0000000000000004],
+                          [2.0, 1.0]), Halfspace.line(1, -1))
+    @example(StepFunction([1.5e-323, 2e-323], [2.0]), Halfspace.line(1, 0))
+    @example(StepFunction([0, 5e-324], [2.0]), Halfspace.line(-1, -5e-324))
+    # mirror images next to the float range's end, and beyond it
+    @example(StepFunction([0.0, 1e300], [1.0]), Halfspace.line(1, -8.98e307))
+    @example(StepFunction([-1e300, 0.0], [1.0]),
+             Halfspace.line(-1, -8.98e307))
+    @example(StepFunction([1e308, 1.7e308], [1.0]), Halfspace.line(1, 0.0))
+    @example(StepFunction([0.0, 1.0], [1.0]), Halfspace.line(1, -1e308))
+    def test_same_bytes_identity_and_errors(self, u, h):
+        try:
+            want = lookup_polarize(u, h)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                polarize(u, h)
+            return
+        got = polarize(u, h)
+        assert (got is u) == (want is u)
+        assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 class TestRearrange:
     def test_two_piece_example(self):
         # 2 on [0,1), 1 on [2,4): layers of measure 1 and 3
@@ -292,6 +383,14 @@ class TestRearrange:
 
     def test_zero(self):
         assert rearrange(StepFunction.zero()).is_zero
+
+    @pytest.mark.parametrize("u", [
+        StepFunction([0, 1e-17, 1], [1.0, 2.0]),   # 1 + 1e-17 rounds to 1
+        StepFunction([0, 5e-324], [1.0]),          # half of 5e-324 is 0
+    ])
+    def test_piece_below_a_float_step_of_the_measure(self, u):
+        with pytest.raises(ValueError, match="rearranged breakpoints collapse"):
+            rearrange(u)
 
 
 class TestFunctionals:
