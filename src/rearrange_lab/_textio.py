@@ -16,13 +16,22 @@ Tables (the step1d, lattice, grid2d and convergence-series CSV files):
 - A field is empty where a value is absent: on write, past the end of a
   column shorter than the first; on read, ``optional`` reads it as None.
 - Any ``ValueError`` from a conversion or from building the result is a
-  ``ParseError``.
+  ``ParseError``.  Fields are converted column by column, each column top
+  to bottom (row by row for a table of any width), so the first bad field
+  in that order names the error.
+
+A table is handled a whole column at a time: the body is split once,
+each column is converted by one ``map``, and on write each distinct double
+of a table is formatted once (keyed by its bits, so ``-0.0`` and ``0.0``
+stay apart) and its text reused wherever the double repeats.
 
 Keyed encodings (the CLI's ``--by``): ``key=value`` parts separated by
-commas, each key converted by its own conversion.
+commas, each key given once and converted by its own conversion.
 """
 
 from itertools import repeat, zip_longest
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -37,11 +46,15 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _texts(convert, values):
+def _texts(convert, values) -> list:
     """The fields of values in a column that convert reads back."""
     if convert is int:
-        return map(str, values)
-    return map(format, values, repeat(".17g"))
+        return list(map(str, values))
+    a = np.asarray(values, dtype=float).ravel()
+    # Keyed by bit pattern: a float key would merge -0.0 with 0.0.
+    bits, where = np.unique(a.view(np.int64), return_inverse=True)
+    texts = list(map(format, bits.view(float).tolist(), repeat(".17g")))
+    return np.array(texts, dtype=object)[where].tolist()
 
 
 def dumps(header, columns, body) -> str:
@@ -49,36 +62,87 @@ def dumps(header, columns, body) -> str:
 
     header is the fixed first line, or the values of a first row.  columns
     are the conversions that read the table back: a tuple, with body one
-    list per column (a column shorter than the first leaves its last
-    fields empty), or one conversion, with body a list of rows of any width.
+    sequence per column (a column shorter than the first leaves its last
+    fields empty), or one conversion, with body a 2-D array of rows.
     """
     if not isinstance(header, str):
         header = ",".join([str(x) if isinstance(x, int) else format(x, ".17g")
                            for x in header])
     if callable(columns):
-        lines = [",".join(_texts(columns, row)) for row in body]
+        rows = np.asarray(body)
+        texts = iter(_texts(columns, rows))
+        # each line takes the next rows.shape[1] texts
+        lines = map(",".join, zip(*[texts] * rows.shape[1]))
     else:
         lines = map(",".join, zip_longest(*map(_texts, columns, body),
                                           fillvalue=""))
     return "\n".join([header, *lines]) + "\n"
 
 
-def optional(convert):
-    """The conversion of a column whose empty field means an absent value."""
-    return lambda field: convert(field) if field.strip() else None
+class optional:
+    """The conversion of a column whose empty field means an absent value
+    (convert itself must reject a blank field)."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __call__(self, field):
+        return self.convert(field) if field.strip() else None
+
+    def column(self, fields: list) -> list:
+        """list(map(self, fields)), with one call of convert for each run of
+        fields between empty ones."""
+        try:
+            out, start = [], 0
+            for _ in range(fields.count("")):
+                stop = fields.index("", start)
+                out += map(self.convert, fields[start:stop])
+                out.append(None)
+                start = stop + 1
+            out += map(self.convert, fields[start:])
+            return out
+        except ValueError:   # a field of spaces, or a bad one: field by field
+            return list(map(self, fields))
+
+
+def _commas(lines: list) -> list:
+    """The number of commas in each line."""
+    return list(map(str.count, lines, repeat(",")))
+
+
+def _fields(lines: list) -> list:
+    """Every field of lines, row by row."""
+    return ",".join(lines).split(",") if lines else []
 
 
 def _columns(lines: list, columns: tuple) -> list:
     """The fields of lines, converted, as one list per column."""
-    table = [line.split(",") for line in lines]
-    for line, fields in zip(lines, table):
-        if len(fields) != len(columns):
-            raise ValueError(f"row {line!r} has {len(fields)} fields, "
-                             f"want {len(columns)}")
-    if not table:
-        return [[] for _ in columns]
-    return [list(map(convert, column))
-            for convert, column in zip(columns, zip(*table))]
+    width = len(columns)
+    commas = _commas(lines)
+    if commas.count(width - 1) != len(lines):
+        row = next(i for i, k in enumerate(commas) if k != width - 1)
+        raise ValueError(f"row {lines[row]!r} has {commas[row] + 1} fields, "
+                         f"want {width}")
+    fields = _fields(lines)
+    return [convert.column(fields[k::width]) if isinstance(convert, optional)
+            else list(map(convert, fields[k::width]))
+            for k, convert in enumerate(columns)]
+
+
+def _rows(lines: list, convert):
+    """The fields of lines, converted, as a 2-D float array when every row
+    has the same width, else as a list of rows."""
+    fields = _fields(lines)
+    commas = _commas(lines)
+    if lines and commas.count(commas[0]) == len(lines):
+        return np.fromiter(map(convert, fields), float, len(fields)).reshape(
+            len(lines), commas[0] + 1)
+    values = list(map(convert, fields))
+    rows, start = [], 0
+    for k in commas:
+        rows.append(values[start:start + k + 1])
+        start += k + 1
+    return rows
 
 
 def loads(text: str, header, columns, build):
@@ -87,9 +151,9 @@ def loads(text: str, header, columns, build):
     header is the fixed first line, or the conversions of a first row,
     whose values are then head.  columns are the conversions of every
     further row: a tuple, with body one list per column, or one conversion,
-    with body the single list of all rows, of any width.
+    with body the single value of :func:`_rows`, for rows of any width.
     """
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = list(filter(str.strip, text.split("\n")))
     fixed = isinstance(header, str)
     if not lines or (fixed and lines[0].strip() != header):
         raise ParseError(f"expected header {header!r}" if fixed
@@ -97,8 +161,7 @@ def loads(text: str, header, columns, build):
     try:
         head = [] if fixed else [col[0] for col in _columns(lines[:1], header)]
         if callable(columns):
-            body = [[list(map(columns, line.split(",")))
-                     for line in lines[1:]]]
+            body = [_rows(lines[1:], columns)]
         else:
             body = _columns(lines[1:], columns)
         return build(*head, *body)
@@ -109,9 +172,13 @@ def loads(text: str, header, columns, build):
 def keyed(text: str, conversions: dict, form: str) -> list:
     """The converted values of the keys of conversions, in order, from a
     ``key=value,...`` text; ParseError naming form, the expected text, if
-    a part has no ``=``, a key is missing or a conversion fails."""
+    a part has no ``=``, a key is missing, repeated or not one of
+    conversions, or a conversion fails."""
     try:
-        fields = dict(part.split("=", 1) for part in text.strip().split(","))
+        parts = [part.split("=", 1) for part in text.strip().split(",")]
+        fields = dict(parts)
+        if len(fields) != len(parts) or fields.keys() != conversions.keys():
+            raise ValueError("a key is missing, repeated or unknown")
         return [convert(fields[key]) for key, convert in conversions.items()]
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad encoding {text!r} (want {form})") from exc

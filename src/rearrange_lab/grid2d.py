@@ -390,7 +390,7 @@ def _grid_record(n, current, target, p, eps):
 
 
 def dumps(u: GridFunction) -> str:
-    return _textio.dumps((u.m, u.h), float, u.values.tolist())
+    return _textio.dumps((u.m, u.h), float, u.values)
 
 
 def loads(text: str) -> GridFunction:

@@ -95,19 +95,6 @@ class Halfspace:
             raise ParseError(f"bad halfspace {text!r}: {exc}") from exc
 
 
-def halfspace_distance(h1: Halfspace, h2: Halfspace) -> float:
-    """Angle between normals plus offset difference.
-
-    Symmetric, zero iff equal; dominates the convergence of halfspaces under
-    isometries converging to the identity.
-    """
-    if h1.dimension != h2.dimension:
-        raise ValueError("halfspace dimensions differ")
-    dot = sum(a * b for a, b in zip(h1.normal, h2.normal))
-    angle = math.acos(min(1.0, max(-1.0, dot)))
-    return angle + abs(h1.offset - h2.offset)
-
-
 def _dyadic_level_count(rho: float, m: int) -> int:
     """Number of odd k >= 1 with k / 2**m <= rho."""
     # ldexp scales exactly by a power of two, and builds no float 2**m
@@ -189,9 +176,11 @@ def _schedule_arrays(schedule: Schedule, n_max: int):
 
 def density_witness(schedule: Schedule, h: Halfspace, eps: float,
                     n_max: int) -> int | None:
-    """Smallest n <= n_max with halfspace_distance(schedule.nth(n), h) < eps.
+    """Smallest n <= n_max whose schedule entry H_n is at distance less
+    than eps from h, or None when no prefix entry comes that close.
 
-    Returns None when no prefix entry comes that close.
+    The distance is the angle between the normals (taken modulo 2*pi, at
+    most pi) plus the difference of the offsets.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -207,13 +207,25 @@ CSV_HEADER = "site,value"
 
 
 def dumps(u: LatticeFunction) -> str:
-    return _textio.dumps(CSV_HEADER, (int, float), zip(*u.items()))
+    sites = sorted(u._values)   # sorting ints, not (site, value) pairs
+    return _textio.dumps(CSV_HEADER, (int, float),
+                         [sites, list(map(u._values.__getitem__, sites))])
+
+
+def _from_columns(sites: list, values: list) -> LatticeFunction:
+    # One pass over each column for valid input; the constructor's loop
+    # runs only to word the error of the first bad row.
+    table = dict(zip(sites, values))
+    if (len(table) == len(sites) and all(map((0.0).__le__, values))
+            and all(map(math.inf.__gt__, values))):
+        if 0.0 in values:
+            table = {x: v for x, v in table.items() if v > 0}
+        return LatticeFunction._checked(table)
+    return LatticeFunction(zip(sites, values))
 
 
 def loads(text: str) -> LatticeFunction:
-    return _textio.loads(
-        text, CSV_HEADER, (int, float),
-        lambda sites, values: LatticeFunction(zip(sites, values)))
+    return _textio.loads(text, CSV_HEADER, (int, float), _from_columns)
 
 
 def write_csv(u: LatticeFunction, path) -> None:

@@ -352,8 +352,7 @@ CSV_HEADER = "breakpoint,value"
 
 
 def dumps(u: StepFunction) -> str:
-    return _textio.dumps(CSV_HEADER, (float, float),
-                         [u.breakpoints.tolist(), u.values.tolist()])
+    return _textio.dumps(CSV_HEADER, (float, float), [u.breakpoints, u.values])
 
 
 def _from_columns(b: list, v: list) -> StepFunction:

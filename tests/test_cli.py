@@ -122,6 +122,21 @@ class TestPolarize:
                      "--output", str(tmp_path / "o.csv"), "--by", "c"]) == 2
         assert "want c=<int>" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fixture, by, form", [
+        ("step_file", "nu=1,d=0.5,nu=-1", "nu=<angle or +-1>,d=<offset>"),
+        ("step_file", "nu=1,d=0.5,x=3", "nu=<angle or +-1>,d=<offset>"),
+        ("lattice_file", "c=1,c=2", "c=<int>"),
+        ("grid_file", "dir=X,s=0.5,s=1.5", "dir=X|Y|U|D,s=<offset>"),
+        ("grid_file", "dir=X,s=0.5,nu=1", "dir=X|Y|U|D,s=<offset>"),
+    ])
+    def test_repeated_or_unknown_key_is_exit_2(self, request, tmp_path,
+                                               capsys, fixture, by, form):
+        out = tmp_path / "o.csv"
+        assert main(["polarize", "--input", str(request.getfixturevalue(fixture)),
+                     "--output", str(out), "--by", by]) == 2
+        assert f"bad encoding {by!r} (want {form})" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_exit_2(self, tmp_path):
         assert main(["polarize", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "o.csv"),

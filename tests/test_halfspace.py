@@ -12,8 +12,17 @@ from rearrange_lab.halfspace import (
     Schedule,
     _dyadic_level_count,
     density_witness,
-    halfspace_distance,
 )
+
+
+def halfspace_distance(h1: Halfspace, h2: Halfspace) -> float:
+    """Angle between normals plus offset difference: the distance that
+    density_witness measures, computed on its own."""
+    if h1.dimension != h2.dimension:
+        raise ValueError("halfspace dimensions differ")
+    dot = sum(a * b for a, b in zip(h1.normal, h2.normal))
+    angle = math.acos(min(1.0, max(-1.0, dot)))
+    return angle + abs(h1.offset - h2.offset)
 
 
 class TestHalfspace:
