@@ -87,8 +87,17 @@ def weighted_mass(u: StepFunction, w: RadialWeight) -> float:
     """Integral of u * w; exact for the triangular weight, error-function
     quadrature (absolute error well below 1e-12) for the Gaussian.
     ValueError when the mass leaves the float range."""
-    # Python floats, so that an overflow raises no numpy warning.
-    f = [w.antiderivative(x) for x in u.breakpoints.tolist()]
+    x = u.breakpoints
+    if w.radius is None:
+        f = [w.antiderivative(t) for t in x.tolist()]
+    else:
+        # antiderivative's arithmetic in the same order, on the column; an
+        # overflow gives the same inf or nan as in Python floats
+        R = w.radius
+        r = np.minimum(np.abs(x), R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.copysign(R * r - 0.5 * r * r, x).tolist()
+    # In Python floats, so that an overflow raises no numpy warning.
     return finite_result(lambda: math.fsum(
         v * (hi - lo) for v, lo, hi in zip(u.values.tolist(), f, f[1:])),
         "weighted mass")
@@ -151,7 +160,9 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
         raise ValueError("the exact scheme runs on the 1-D engine")
     if weight is None:
         weight = RadialWeight.triangular(16.0)
-    halfspaces = schedule.first(n_max)
+    # The schedule as columns; a Halfspace is built only for polarize.
+    nu, d = schedule._columns(n_max)
+    c = nu * d
     target = rearrange(u)
     norm0 = lp_norm(u, p)
 
@@ -175,9 +186,11 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
             deviation_measure=_deviation(diff, widths, eps),
         )
 
-    return _triangular_scheme(u, halfspaces, n_max, polarize, record,
-                              target=target, reverse=order == "reversed",
-                              first_mover=_first_mover)
+    return _triangular_scheme(
+        u, range(n_max), n_max,
+        lambda state, k: polarize(state, Halfspace.line(nu[k], d[k])),
+        record, target=target, reverse=order == "reversed",
+        first_mover=lambda state, ks: _first_mover(state, nu[ks], c[ks]))
 
 
 def converge_restricted(u: StepFunction, rho: float = 0.1, n_max: int = 200,

@@ -20,6 +20,7 @@ from .errors import ParseError
 
 _UNIT_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
+_EMPTY = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -101,23 +102,40 @@ def _dyadic_level_count(rho: float, m: int) -> int:
     return (math.floor(math.ldexp(rho, m)) + 1) // 2
 
 
-def _entries(dimension: int, rho: float):
-    """The schedule's (sign, offset) pairs in 1-D, or (angle, offset) pairs
-    in 2-D, in order and without end.
+# Offsets per block of _dyadic_offsets: bounds the memory of one level.
+_BLOCK = 1 << 12
+# The signs +1, -1, +1, ... of the 1-D entries of one block.
+_SIGNS = np.resize([1.0, -1.0], 2 * _BLOCK)
+_SIGNS.setflags(write=False)
 
-    Offsets are the dyadic k / 2**m <= rho (k odd, m >= 1) and angles the
-    2*pi*k / 2**m (0 <= k < 2**m), each breadth-first by level m.  In 1-D
-    each offset comes with sign +1, then -1.  In 2-D the n-th pair takes
-    the a-th angle and the b-th offset along the diagonals a + b = 2, 3,
-    ... of (a, b), a ascending on each."""
-    offsets = (
-        (2 * k + 1) / (1 << m) for m in itertools.count(1)
-        for k in range(_dyadic_level_count(rho, m)))
-    if dimension == 1:
-        for d in offsets:
-            yield 1.0, d
-            yield -1.0, d
-        return
+
+def _dyadic_offsets(rho: float):
+    """The dyadic offsets k / 2**m <= rho (k odd, m >= 1), breadth-first by
+    level m, in arrays of at most _BLOCK, without end.  np.ldexp scales k by
+    2**-m exactly, and rounds into the subnormals as k / (1 << m) does."""
+    for m in itertools.count(1):
+        count = _dyadic_level_count(rho, m)
+        for start in range(0, count, _BLOCK):
+            odd = np.arange(2 * start + 1, 2 * min(count, start + _BLOCK), 2,
+                            dtype=float)
+            yield np.ldexp(odd, -m)
+
+
+def _line_columns(rho: float):
+    """The 1-D schedule as (signs, offsets) columns, in blocks and without
+    end: each dyadic offset with sign +1, then -1."""
+    for offsets in _dyadic_offsets(rho):
+        yield _SIGNS[:2 * offsets.size], np.repeat(offsets, 2)
+
+
+def _plane_entries(rho: float):
+    """The 2-D schedule's (angle, offset) pairs, in order and without end.
+
+    Angles are the 2*pi*k / 2**m (0 <= k < 2**m), breadth-first by level m.
+    The n-th pair takes the a-th angle and the b-th dyadic offset along
+    the diagonals a + b = 2, 3, ... of (a, b), a ascending on each."""
+    offsets = itertools.chain.from_iterable(
+        map(np.ndarray.tolist, _dyadic_offsets(rho)))
     angles = (_TWO_PI * a0 / (1 << m) for m in itertools.count(1)
               for a0 in range(1 << m))
     first_angles, first_offsets = [], []
@@ -153,8 +171,20 @@ class Schedule:
 
     def _halfspaces(self):
         """The halfspaces of the enumeration, in order and without end."""
-        make = Halfspace.line if self.dimension == 1 else Halfspace.plane
-        return itertools.starmap(make, _entries(self.dimension, self.rho))
+        if self.dimension == 2:
+            return itertools.starmap(Halfspace.plane, _plane_entries(self.rho))
+        return itertools.chain.from_iterable(
+            map(Halfspace.line, *map(np.ndarray.tolist, columns))
+            for columns in _line_columns(self.rho))
+
+    def _columns(self, count: int):
+        """(signs, offsets) of the first count entries of a 1-D schedule."""
+        blocks, have = [(_EMPTY, _EMPTY)], 0
+        columns = _line_columns(self.rho)
+        while have < count:
+            blocks.append(next(columns))
+            have += blocks[-1][0].size
+        return tuple(np.concatenate(column)[:count] for column in zip(*blocks))
 
     def nth(self, n: int) -> Halfspace:
         """n-th halfspace of the enumeration, 1-based; stateless."""
@@ -169,6 +199,9 @@ class Schedule:
 @lru_cache(maxsize=16)
 def _schedule_arrays(schedule: Schedule, n_max: int):
     """(angles, offsets) of the first n_max entries, for vectorized scans."""
+    if schedule.dimension == 1:
+        signs, offsets = schedule._columns(n_max)
+        return np.where(signs > 0, 0.0, math.pi), offsets
     halfspaces = schedule.first(n_max)
     return (np.array([h.angle() for h in halfspaces]),
             np.array([h.offset for h in halfspaces]))

@@ -8,7 +8,7 @@ one row per recorded iteration (table rules in ``_textio``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -97,8 +97,8 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
     same state and step.  From each new state the driver lists the
     applications the naive loop makes next (``_upcoming``) and applies
     them in order until one returns a new state.  When given,
-    first_mover(state, chunk of steps) is the position of the first step
-    of the chunk that apply may change state with, len(chunk) when it
+    first_mover(state, indices) is the position of the first of the step
+    indices whose step apply may change state with, len(indices) when it
     rules out all; only the steps it does not rule out reach apply.  An
     outer step that ends on the identical state repeats the previous
     record with the new n.  Both give the rows of the naive loop."""
@@ -114,7 +114,10 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
         nonlocal n, before, done
         while n < until:
             if current is before:
-                records.append(replace(records[-1], n=n))
+                r = records[-1]
+                records.append(ConvergenceRecord(
+                    n, r.lp_error, r.weighted_mass, r.sup_error,
+                    r.deviation_measure))
             else:
                 records.append(record(n, current, records[-1]))
                 before = current
@@ -125,7 +128,7 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
     while not done:
         upcoming = _upcoming(*resume, n_max, len(steps), reverse)
         if first_mover is not None:
-            upcoming = _not_ruled_out(current, upcoming, steps, first_mover)
+            upcoming = _not_ruled_out(current, upcoming, first_mover)
         for m, q, k in upcoming:
             if m > n:
                 finish(m)
@@ -162,13 +165,13 @@ def _upcoming(n, q, n_max, size, reverse):
             return
 
 
-def _not_ruled_out(state, upcoming, steps, first_mover):
+def _not_ruled_out(state, upcoming, first_mover):
     """The entries of upcoming whose step first_mover does not rule out on
     state, asked about in chunks that double from eight entries."""
     size = 8
     while chunk := list(islice(upcoming, size)):
         while chunk:
-            i = first_mover(state, [steps[k] for _, _, k in chunk])
+            i = first_mover(state, [k for _, _, k in chunk])
             if i == len(chunk):
                 break
             yield chunk[i]

@@ -206,29 +206,37 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
 _PASS_CELLS = 1 << 12
 
 
-def _first_mover(u: StepFunction, halfspaces) -> int:
-    """Position of the first of halfspaces that polarize(u, h) may not
-    return u for; len(halfspaces) when it returns u for all.
+def _first_mover(u: StepFunction, nu: np.ndarray, c: np.ndarray) -> int:
+    """Position of the first halfspace {x : nu*x <= nu*c} of the columns nu
+    (the signs) and c (the boundary points) that polarize(u, h) may not
+    return u for; len(nu) when it returns u for all.
 
     Decides a chunk of halfspaces per numpy pass through polarize's own
     kernel, _mirrored_cells, as polarize does: a halfspace moves u when
     some cell moves.  A halfspace that mirrors the support beyond the
     float range counts as a mover, so that polarize decides it and raises
-    where it must.  The halfspaces must be 1-D."""
-    count = len(halfspaces)
+    where it must."""
+    count = len(nu)
     if u.is_zero:
         return count
     b = u.breakpoints
+    b0, b1 = b[[0, -1]].tolist()
     padded = _padded(u)
     chunk = max(1, _PASS_CELLS // b.size)
     for start in range(0, count, chunk):
-        hs = halfspaces[start:start + chunk]
-        nu = np.array([[h.normal[0]] for h in hs])
-        c = nu * np.array([[h.offset] for h in hs])
-        with np.errstate(over="ignore"):
-            escape = np.isinf(2.0 * c - b[0]) | np.isinf(2.0 * c - b[-1])
-        c[escape] = 0.0   # keeps the kernel's arithmetic finite
-        moves = _mirrored_cells(b, padded, nu, c)[2].any(axis=1) | escape[:, 0]
+        nus = nu[start:start + chunk, None]
+        cs = c[start:start + chunk, None]
+        escape = False
+        # The mirror images 2c - b are largest at the largest c and the
+        # first breakpoint, and smallest at the smallest c and the last.
+        if (math.isinf(2.0 * float(cs.max()) - b0)
+                or math.isinf(2.0 * float(cs.min()) - b1)):
+            with np.errstate(over="ignore"):
+                escape = np.isinf(2.0 * cs - b0) | np.isinf(2.0 * cs - b1)
+            # c = 0 there keeps the kernel's arithmetic finite
+            cs = np.where(escape, 0.0, cs)
+            escape = escape[:, 0]
+        moves = _mirrored_cells(b, padded, nus, cs)[2].any(axis=1) | escape
         if moves.any():
             return start + int(np.argmax(moves))
     return count
@@ -356,8 +364,10 @@ def dumps(u: StepFunction) -> str:
 
 
 def _from_columns(b: list, v: list) -> StepFunction:
-    if v and v[-1] is None:
-        v = v[:-1]
+    if v and v[-1] is not None:
+        raise ValueError("the last row must hold the final breakpoint with "
+                         "an empty value field")
+    v = v[:-1]
     if None in v:
         raise ValueError("only the last row may have an empty value")
     return StepFunction(b, v)

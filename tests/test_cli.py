@@ -160,6 +160,20 @@ class TestPolarize:
 
 
 class TestRearrange:
+    @pytest.mark.parametrize("text", ["breakpoint,value\n0,1\n1,2\n",
+                                      "breakpoint,value\n0,1\n"])
+    def test_step_file_without_final_breakpoint_row_is_exit_2(
+            self, tmp_path, capsys, text):
+        src = tmp_path / "u.csv"
+        out = tmp_path / "o.csv"
+        src.write_text(text)
+        assert main(["rearrange", "--input", str(src),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the last row must hold the final breakpoint with an "
+            "empty value field\n")
+        assert not out.exists()
+
     def test_step(self, tmp_path):
         src = tmp_path / "u.csv"
         out = tmp_path / "out.csv"

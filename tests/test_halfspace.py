@@ -1,8 +1,9 @@
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rearrange_lab import halfspace
 from rearrange_lab.errors import ParseError
@@ -11,6 +12,7 @@ from rearrange_lab.halfspace import (
     Halfspace,
     Schedule,
     _dyadic_level_count,
+    _schedule_arrays,
     density_witness,
 )
 
@@ -174,6 +176,30 @@ class TestSchedule:
         for n in (1, 2, 3, 45, 46, 300):
             assert s.nth(n) == want[n - 1]
             assert s.nth(n).theta == want[n - 1].theta
+
+    @pytest.mark.parametrize("rho", [2.0 ** -1022, 0.1, 1.0, 3.0, 2.0 ** 1022])
+    def test_columns_match_the_reference_by_index(self, rho):
+        # An odd count ends on the +1 entry of an offset.
+        s = Schedule(dimension=1, rho=rho)
+        signs, offsets = s._columns(5001)
+        want = [reference_nth(s, n) for n in range(1, 5002)]
+        assert signs.tolist() == [h.normal[0] for h in want]
+        assert offsets.tolist() == [h.offset for h in want]
+        angles, arrays_offsets = _schedule_arrays(s, 5001)
+        assert angles.tolist() == [h.angle() for h in want]
+        assert arrays_offsets.tolist() == offsets.tolist()
+        for count in (0, 1, 2):
+            assert s._columns(count)[1].tolist() == offsets[:count].tolist()
+
+    @given(st.integers(0, 2 ** 52 - 1), st.integers(1, 1200))
+    @example(0, 1075)   # half the smallest subnormal: rounds to even, 0
+    @example(1, 1075)   # 3/2 of it: rounds up to 2**-1073
+    def test_ldexp_rounds_as_the_division(self, k, m):
+        # the columns scale 2k+1 by 2**-m with np.ldexp, the reference divides
+        odd = 2 * k + 1
+        want = odd / (1 << m)
+        got = float(np.ldexp(np.array([float(odd)]), -m)[0])
+        assert got == want and math.copysign(1.0, got) == 1.0
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_first_counts_each_level_once(self, dimension, monkeypatch):

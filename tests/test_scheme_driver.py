@@ -56,6 +56,7 @@ from rearrange_lab.step1d import (
     rearrange,
     sup_distance,
 )
+from test_step1d import columns
 
 SEEDS = (3, 17, 29, 101)
 CLI_GRID_STEPS = [Axis.X, Axis.Y,
@@ -261,6 +262,12 @@ def naive_scheme(start, steps, n_max, apply, record, target=None,
     return ConvergenceSeries(tuple(records))
 
 
+def first_mover_of(steps):
+    """_first_mover on indices into steps, as converge_scheme asks it."""
+    nu, c = columns(steps)
+    return lambda u, ks: _first_mover(u, nu[ks], c[ks])
+
+
 def changes(apply, log):
     """apply, logging each new state it returns."""
     def logged(state, step):
@@ -292,7 +299,8 @@ def test_short_step_list_matches_naive_loop(seed, reverse, size):
     want_log, plain_log, got_log = [], [], []
     want = naive_scheme(u, steps, 12, changes(polarize, want_log), record,
                         target, reverse)
-    for first_mover, log in ((None, plain_log), (_first_mover, got_log)):
+    for first_mover, log in ((None, plain_log),
+                             (first_mover_of(steps), got_log)):
         got = _triangular_scheme(u, steps, 12, changes(polarize, log), record,
                                  target, reverse, first_mover=first_mover)
         assert got.dumps() == want.dumps()
@@ -313,7 +321,7 @@ def test_error_raised_after_the_same_changes():
         naive_scheme(u, steps, 8, changes(polarize, want_log), record)
     with pytest.raises(ValueError, match="beyond the float range"):
         _triangular_scheme(u, steps, 8, changes(polarize, got_log), record,
-                           first_mover=_first_mover)
+                           first_mover=first_mover_of(steps))
     assert got_log == want_log != []
 
 
@@ -362,6 +370,30 @@ def test_polarize_runs_once_per_state_change(monkeypatch):
     series = converge_restricted(u, rho=0.1, n_max=200)
     assert series.final.lp_error > 0   # the state never reached u*
     assert changed and all(changed)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_halfspaces_built_only_for_polarize(monkeypatch, order):
+    """converge_scheme reads the schedule as columns and builds a Halfspace
+    only for an entry that reaches polarize."""
+    built, calls = [], []
+    post_init = Halfspace.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_polarize(state, h):
+        calls.append(h)
+        return polarize(state, h)
+
+    monkeypatch.setattr(Halfspace, "__post_init__", counting_post_init)
+    monkeypatch.setattr(analysis, "polarize", counting_polarize)
+    rng = random.Random(11)
+    for _ in range(4):
+        u = generators.random_step_function(rng, span=1.0)
+        converge_restricted(u, rho=0.1, n_max=200, order=order)
+    assert calls and len(built) <= len(calls)
 
 
 # -- the no-op contract the memo relies on -----------------------------------

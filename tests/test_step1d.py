@@ -165,6 +165,13 @@ class TestPolarize:
             assert np.array_equal(out.evaluate_many(xs), want)
 
 
+def columns(halfspaces):
+    """The sign and boundary-point columns of 1-D halfspaces, the form in
+    which _first_mover takes them."""
+    nu = np.array([h.normal[0] for h in halfspaces])
+    return nu, nu * np.array([h.offset for h in halfspaces])
+
+
 def scalar_first_mover(u, halfspaces):
     """_first_mover by one polarize call per halfspace; a mirror image of
     the support beyond the float range is left to polarize as a mover."""
@@ -228,7 +235,8 @@ class TestFirstMover:
     @given(decision_states(), st.lists(HALFSPACE, max_size=40))
     @settings(max_examples=400, deadline=None)
     def test_matches_scalar_scan(self, u, halfspaces):
-        assert _first_mover(u, halfspaces) == scalar_first_mover(u, halfspaces)
+        assert (_first_mover(u, *columns(halfspaces))
+                == scalar_first_mover(u, halfspaces))
 
     def test_bounded_passes_match_scalar_scan(self, monkeypatch):
         # Two halfspaces per pass on these inputs, so a mover sits in a
@@ -241,14 +249,28 @@ class TestFirstMover:
                 u = polarize(u, h)
             monkeypatch.setattr(step1d, "_PASS_CELLS", 2 * u.breakpoints.size)
             for start in range(0, 60, 7):
-                assert (_first_mover(u, halfspaces[start:])
+                assert (_first_mover(u, *columns(halfspaces[start:]))
                         == scalar_first_mover(u, halfspaces[start:]))
 
     def test_mirror_image_beyond_the_float_range(self):
         u = StepFunction.indicator(0, 1)
         noop = Halfspace.line(1, 0.5)
         for far in (Halfspace.line(1, 1e308), Halfspace.line(1, -1e308)):
-            assert _first_mover(u, [noop, far, noop]) == 1
+            assert _first_mover(u, *columns([noop, far, noop])) == 1
+
+    @pytest.mark.parametrize("u, noop, far", [
+        # only 2c - b0 overflows, at the largest c of the chunk
+        (StepFunction.indicator(-1e308, 0), Halfspace.line(1, 0.5),
+         Halfspace.line(1, 5e307)),
+        # only 2c - b1 overflows, at the smallest c of the chunk
+        (StepFunction.indicator(0, 1e308), Halfspace.line(-1, 0.5),
+         Halfspace.line(-1, 5e307)),
+    ])
+    def test_mirror_image_beyond_the_float_range_at_one_end(self, u, noop,
+                                                           far):
+        halfspaces = [noop, far, noop]
+        assert (_first_mover(u, *columns(halfspaces))
+                == scalar_first_mover(u, halfspaces) == 1)
 
 
 # The lookup loop polarize ran before the mirrored-grid kernel, verbatim:
