@@ -87,17 +87,8 @@ def weighted_mass(u: StepFunction, w: RadialWeight) -> float:
     """Integral of u * w; exact for the triangular weight, error-function
     quadrature (absolute error well below 1e-12) for the Gaussian.
     ValueError when the mass leaves the float range."""
-    x = u.breakpoints
-    if w.radius is None:
-        f = [w.antiderivative(t) for t in x.tolist()]
-    else:
-        # antiderivative's arithmetic in the same order, on the column; an
-        # overflow gives the same inf or nan as in Python floats
-        R = w.radius
-        r = np.minimum(np.abs(x), R)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = np.copysign(R * r - 0.5 * r * r, x).tolist()
-    # In Python floats, so that an overflow raises no numpy warning.
+    # Python floats, so that an overflow raises no numpy warning.
+    f = [w.antiderivative(x) for x in u.breakpoints.tolist()]
     return finite_result(lambda: math.fsum(
         v * (hi - lo) for v, lo, hi in zip(u.values.tolist(), f, f[1:])),
         "weighted mass")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -20,7 +21,6 @@ from .errors import ParseError
 
 _UNIT_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
-_EMPTY = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,6 @@ def _dyadic_level_count(rho: float, m: int) -> int:
 
 # Offsets per block of _dyadic_offsets: bounds the memory of one level.
 _BLOCK = 1 << 12
-# The signs +1, -1, +1, ... of the 1-D entries of one block.
-_SIGNS = np.resize([1.0, -1.0], 2 * _BLOCK)
-_SIGNS.setflags(write=False)
 
 
 def _dyadic_offsets(rho: float):
@@ -125,7 +122,7 @@ def _line_columns(rho: float):
     """The 1-D schedule as (signs, offsets) columns, in blocks and without
     end: each dyadic offset with sign +1, then -1."""
     for offsets in _dyadic_offsets(rho):
-        yield _SIGNS[:2 * offsets.size], np.repeat(offsets, 2)
+        yield np.tile([1.0, -1.0], offsets.size), np.repeat(offsets, 2)
 
 
 def _plane_entries(rho: float):
@@ -178,8 +175,13 @@ class Schedule:
             for columns in _line_columns(self.rho))
 
     def _columns(self, count: int):
-        """(signs, offsets) of the first count entries of a 1-D schedule."""
-        blocks, have = [(_EMPTY, _EMPTY)], 0
+        """(signs, offsets) of the first count entries of a 1-D schedule.
+        ValueError, as from first, unless count is an integer >= 0."""
+        if not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"count must be an integer >= 0, got {count!r}")
+        if count == 0:
+            return np.empty(0), np.empty(0)
+        blocks, have = [], 0
         columns = _line_columns(self.rho)
         while have < count:
             blocks.append(next(columns))

@@ -256,6 +256,14 @@ class TestSchedule:
             Schedule(dimension=1, rho=0.0)
         with pytest.raises(ValueError):
             Schedule(dimension=1).nth(0)
+        # the columns reject a count as first does
+        s = Schedule(dimension=1)
+        for count in (-1, 2.5):
+            for take in (s.first, s._columns,
+                         lambda n: density_witness(s, Halfspace.line(1, 0.5),
+                                                   0.1, n)):
+                with pytest.raises(ValueError):
+                    take(count)
 
 
 class TestDensityWitness:
