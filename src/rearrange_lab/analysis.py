@@ -22,8 +22,8 @@ from .step1d import (
     StepFunction,
     _abs_diff,
     _deviation,
-    _first_mover,
     _lp_pow,
+    _movers,
     _sup,
     lp_distance_pow,
     lp_norm,
@@ -181,7 +181,7 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
         u, range(n_max), n_max,
         lambda state, k: polarize(state, Halfspace.line(nu[k], d[k])),
         record, target=target, reverse=order == "reversed",
-        first_mover=lambda state, ks: _first_mover(state, nu[ks], c[ks]))
+        movers=lambda state, upcoming: _movers(state, upcoming, nu, c))
 
 
 def converge_restricted(u: StepFunction, rho: float = 0.1, n_max: int = 200,

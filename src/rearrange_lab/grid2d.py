@@ -39,10 +39,13 @@ class Axis(Enum):
 
 
 class HyperplaneKind(Enum):
-    X = "x"            # H = {i <= s},      reflection (i, j) -> (2s-i, j)
-    Y = "y"            # H = {j <= s},      reflection (i, j) -> (i, 2s-j)
-    DIAG_UP = "up"     # H = {i+j <= s},    reflection (i, j) -> (s-j, s-i)
-    DIAG_DOWN = "down"  # H = {i-j <= s},   reflection (i, j) -> (s+j, i-s)
+    """The four grid-preserving reflections; each value is the kind's
+    ``dir=`` letter in the ``--by`` text."""
+
+    X = "X"          # H = {i <= s},      reflection (i, j) -> (2s-i, j)
+    Y = "Y"          # H = {j <= s},      reflection (i, j) -> (i, 2s-j)
+    DIAG_UP = "U"    # H = {i+j <= s},    reflection (i, j) -> (s-j, s-i)
+    DIAG_DOWN = "D"  # H = {i-j <= s},    reflection (i, j) -> (s+j, i-s)
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,12 @@ class LatticeHyperplane:
         return Halfspace((r, -r), self.s * h * r)
 
     def encode(self) -> str:
-        name = {HyperplaneKind.X: "X", HyperplaneKind.Y: "Y",
-                HyperplaneKind.DIAG_UP: "U", HyperplaneKind.DIAG_DOWN: "D"}
-        return f"dir={name[self.kind]},s={format(self.s, '.17g')}"
+        return f"dir={self.kind.value},s={format(self.s, '.17g')}"
 
     @classmethod
     def parse(cls, text: str) -> "LatticeHyperplane":
-        kinds = {"X": HyperplaneKind.X, "Y": HyperplaneKind.Y,
-                 "U": HyperplaneKind.DIAG_UP, "D": HyperplaneKind.DIAG_DOWN}
         kind, s = _textio.keyed(
-            text, {"dir": lambda d: kinds[d.upper()], "s": float},
+            text, {"dir": lambda d: HyperplaneKind(d.upper()), "s": float},
             "dir=X|Y|U|D,s=<offset>")
         try:
             return cls(kind, s)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def finite_result(compute, what: str) -> float:
 
 
 def _triangular_scheme(start, steps, n_max, apply, record, target=None,
-                       reverse=False, first_mover=None) -> ConvergenceSeries:
+                       reverse=False, movers=None) -> ConvergenceSeries:
     """Triangular scheme: outer step n applies steps[k % len(steps)] for
     k = 0 .. n-1 (n-1 .. 0 if reverse), then appends record(n, state,
     previous record).  Once an outer step ends on the state target, no
@@ -97,9 +96,9 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
     same state and step.  From each new state the driver lists the
     applications the naive loop makes next (``_upcoming``) and applies
     them in order until one returns a new state.  When given,
-    first_mover(state, indices) is the position of the first of the step
-    indices whose step apply may change state with, len(indices) when it
-    rules out all; only the steps it does not rule out reach apply.  An
+    movers(state, upcoming) filters those applications: it yields, in
+    order, the entries (outer step, position, index) of upcoming whose
+    step apply may change state with, and only those reach apply.  An
     outer step that ends on the identical state repeats the previous
     record with the new n.  Both give the rows of the naive loop."""
     if n_max < 1:
@@ -127,8 +126,8 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
     resume = (1, 0)   # outer step and position of the next application
     while not done:
         upcoming = _upcoming(*resume, n_max, len(steps), reverse)
-        if first_mover is not None:
-            upcoming = _not_ruled_out(current, upcoming, first_mover)
+        if movers is not None:
+            upcoming = movers(current, upcoming)
         for m, q, k in upcoming:
             if m > n:
                 finish(m)
@@ -163,17 +162,3 @@ def _upcoming(n, q, n_max, size, reverse):
                 yield m, pos, k
         if len(seen) == size:
             return
-
-
-def _not_ruled_out(state, upcoming, first_mover):
-    """The entries of upcoming whose step first_mover does not rule out on
-    state, asked about in chunks that double from eight entries."""
-    size = 8
-    while chunk := list(islice(upcoming, size)):
-        while chunk:
-            i = first_mover(state, [k for _, _, k in chunk])
-            if i == len(chunk):
-                break
-            yield chunk[i]
-            chunk = chunk[i + 1:]
-        size *= 2

@@ -12,6 +12,7 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
+from itertools import compress, islice
 
 import numpy as np
 
@@ -169,6 +170,14 @@ def _padded(u: StepFunction) -> np.ndarray:
     return padded
 
 
+def _escapes(b0: float, b1: float, c_min: float, c_max: float) -> bool:
+    """Whether the mirror image 2c - b of some breakpoint b in [b0, b1]
+    across some boundary point c in [c_min, c_max] is beyond the float
+    range.  The images are largest at c_max and b0, and smallest at c_min
+    and b1."""
+    return math.isinf(2.0 * c_max - b0) or math.isinf(2.0 * c_min - b1)
+
+
 def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     """Two-point rearrangement of u across h: the larger of u(x), u(sigma(x))
     goes to the h side, the smaller to the other side.  Exact on the grid of
@@ -182,7 +191,7 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     nu = h.normal[0]
     c = nu * h.offset   # boundary point of h; sigma(x) = 2c - x
     b0, b1 = u.breakpoints[[0, -1]].tolist()
-    if math.isinf(2.0 * c - b0) or math.isinf(2.0 * c - b1):
+    if _escapes(b0, b1, c, c):
         # Some mirror image is beyond the float range.  If the support lies
         # in h nothing moves; otherwise the result is not representable.
         if (b1 <= c) if nu > 0 else (b0 >= c):
@@ -201,45 +210,44 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
         *_canonicalize(grid[kept], val[kept[:-1]]))
 
 
-# Cells (halfspaces times grid cells) that _first_mover decides in one pass;
-# bounds its memory whatever the piece count.
+# Halfspaces times breakpoints that _movers decides in one pass; bounds its
+# memory whatever the piece count.
 _PASS_CELLS = 1 << 12
 
 
-def _first_mover(u: StepFunction, nu: np.ndarray, c: np.ndarray) -> int:
-    """Position of the first halfspace {x : nu*x <= nu*c} of the columns nu
-    (the signs) and c (the boundary points) that polarize(u, h) may not
-    return u for; len(nu) when it returns u for all.
+def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray):
+    """The entries (outer step, position, index) of entries, in order,
+    whose halfspace h polarize(u, h) may not return u for.  An entry's
+    index is h's row in the columns nu (the signs) and c (the boundary
+    points): h = {x : nu*x <= nu*c}.
 
-    Decides a chunk of halfspaces per numpy pass through polarize's own
-    kernel, _mirrored_cells, as polarize does: a halfspace moves u when
-    some cell moves.  A halfspace that mirrors the support beyond the
-    float range counts as a mover, so that polarize decides it and raises
-    where it must."""
-    count = len(nu)
+    Decides chunks of entries that double from eight, one numpy pass each
+    through polarize's own kernel, _mirrored_cells, as polarize does: a
+    halfspace moves u when some cell moves.  A chunk holds at most
+    _PASS_CELLS // len(breakpoints) halfspaces, and at least one.  A
+    halfspace that mirrors the support beyond the float range counts as a
+    mover, so that polarize decides it and raises where it must."""
     if u.is_zero:
-        return count
+        return
     b = u.breakpoints
     b0, b1 = b[[0, -1]].tolist()
     padded = _padded(u)
-    chunk = max(1, _PASS_CELLS // b.size)
-    for start in range(0, count, chunk):
-        nus = nu[start:start + chunk, None]
-        cs = c[start:start + chunk, None]
+    cap = max(1, _PASS_CELLS // b.size)
+    size = min(8, cap)
+    entries = iter(entries)
+    while chunk := list(islice(entries, size)):
+        ks = [k for _, _, k in chunk]
+        nus = nu[ks][:, None]
+        cs = c[ks][:, None]
         escape = False
-        # The mirror images 2c - b are largest at the largest c and the
-        # first breakpoint, and smallest at the smallest c and the last.
-        if (math.isinf(2.0 * float(cs.max()) - b0)
-                or math.isinf(2.0 * float(cs.min()) - b1)):
-            with np.errstate(over="ignore"):
-                escape = np.isinf(2.0 * cs - b0) | np.isinf(2.0 * cs - b1)
+        if _escapes(b0, b1, float(cs.min()), float(cs.max())):
+            escape = np.array([_escapes(b0, b1, x, x)
+                               for x in cs[:, 0].tolist()])
             # c = 0 there keeps the kernel's arithmetic finite
-            cs = np.where(escape, 0.0, cs)
-            escape = escape[:, 0]
+            cs = np.where(escape[:, None], 0.0, cs)
         moves = _mirrored_cells(b, padded, nus, cs)[2].any(axis=1) | escape
-        if moves.any():
-            return start + int(np.argmax(moves))
-    return count
+        yield from compress(chunk, moves.tolist())
+        size = min(2 * size, cap)
 
 
 def _grouped_lengths(u: StepFunction):

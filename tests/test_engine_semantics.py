@@ -48,18 +48,36 @@ def test_lattice_involution_is_1d_polarization(u, c):
 
 
 @st.composite
-def grid_cases(draw):
+def grid_cases(draw, step=0.5):
+    """A grid function and an offset, a multiple of step: half-integers
+    for X and Y, integers for the diagonals."""
     m = draw(st.integers(0, 4))
     n = 2 * m + 1
     values = draw(st.lists(VALUE, min_size=n * n, max_size=n * n))
-    s = draw(st.integers(-2 * m - 2, 2 * m + 2)) / 2
+    s = draw(st.integers(-2 * m - 2, 2 * m + 2)) * step
     return GridFunction(m, 1.0, [values[k:k + n] for k in range(0, n * n, n)]), s
 
 
+# The line through cell (i, j) that each kind's reflection maps to itself,
+# and the cell's position t on it, which the reflection mirrors across s.
+_LINE_AND_POSITION = {
+    HyperplaneKind.X: lambda i, j: (j, i),
+    HyperplaneKind.Y: lambda i, j: (i, j),
+    HyperplaneKind.DIAG_UP: lambda i, j: (i - j, i + j),
+    HyperplaneKind.DIAG_DOWN: lambda i, j: (i + j, i - j),
+}
+
+
 def _lines(u: GridFunction, kind: HyperplaneKind):
-    """u's rows (X) or columns (Y) as dicts from index to value."""
-    v = u.values if kind is HyperplaneKind.X else u.values.T
-    return [{i - u.m: x for i, x in enumerate(line.tolist())} for line in v]
+    """u on each line of kind's family, in order, as dicts from the
+    position t to value: rows (X), columns (Y), i - j = const (DIAG_UP) or
+    i + j = const (DIAG_DOWN)."""
+    lines = {}
+    for j, row in enumerate(u.values.tolist(), -u.m):
+        for i, x in enumerate(row, -u.m):
+            line, t = _LINE_AND_POSITION[kind](i, j)
+            lines.setdefault(line, {})[t] = x
+    return [lines[line] for line in sorted(lines)]
 
 
 @settings(deadline=None, max_examples=300)
@@ -71,6 +89,29 @@ def _lines(u: GridFunction, kind: HyperplaneKind):
          kind=HyperplaneKind.Y)
 def test_grid_reflection_is_1d_polarization_per_line(case, kind):
     # X: H = {i <= s} on each row; Y: H = {j <= s} on each column.
+    u, s = case
+    try:
+        out = polarize_grid_exact(u, LatticeHyperplane(kind, s))
+    except GridFitError:
+        return   # a positive value would leave the array; 1-D has no edge
+    h = Halfspace.line(1, s)
+    for line, want in zip(_lines(u, kind), _lines(out, kind)):
+        assert polarize(embed(line), h) == embed(want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=grid_cases(step=1), kind=st.sampled_from(
+    [HyperplaneKind.DIAG_UP, HyperplaneKind.DIAG_DOWN]))
+@example(case=(GridFunction(1, 1.0, [[0, 1, 2], [3, 0, 0], [0, 0, 0]]), 0),
+         kind=HyperplaneKind.DIAG_UP)
+@example(case=(GridFunction(1, 1.0, [[0, 1, 2], [3, 0, 0], [0, 0, 0]]), 1),
+         kind=HyperplaneKind.DIAG_DOWN)
+@example(case=(GridFunction(1, 1.0, [[5e-324, 0, 0], [0, 0, 0], [0, 0, 1]]),
+               0), kind=HyperplaneKind.DIAG_UP)
+def test_diagonal_reflection_is_1d_polarization_per_line(case, kind):
+    # DIAG_UP maps each line i - j = const to itself and t = i + j to
+    # 2s - t; DIAG_DOWN maps each i + j = const and t = i - j alike.  Cells
+    # of one line are two apart in t, so the embedding has zero gaps.
     u, s = case
     try:
         out = polarize_grid_exact(u, LatticeHyperplane(kind, s))

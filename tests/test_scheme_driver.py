@@ -48,7 +48,7 @@ from rearrange_lab.series import (
 )
 from rearrange_lab.step1d import (
     StepFunction,
-    _first_mover,
+    _movers,
     deviation_measure,
     lp_distance,
     lp_norm,
@@ -262,10 +262,10 @@ def naive_scheme(start, steps, n_max, apply, record, target=None,
     return ConvergenceSeries(tuple(records))
 
 
-def first_mover_of(steps):
-    """_first_mover on indices into steps, as converge_scheme asks it."""
+def movers_of(steps):
+    """_movers on indices into steps, as converge_scheme asks it."""
     nu, c = columns(steps)
-    return lambda u, ks: _first_mover(u, nu[ks], c[ks])
+    return lambda u, upcoming: _movers(u, upcoming, nu, c)
 
 
 def changes(apply, log):
@@ -299,10 +299,9 @@ def test_short_step_list_matches_naive_loop(seed, reverse, size):
     want_log, plain_log, got_log = [], [], []
     want = naive_scheme(u, steps, 12, changes(polarize, want_log), record,
                         target, reverse)
-    for first_mover, log in ((None, plain_log),
-                             (first_mover_of(steps), got_log)):
+    for movers, log in ((None, plain_log), (movers_of(steps), got_log)):
         got = _triangular_scheme(u, steps, 12, changes(polarize, log), record,
-                                 target, reverse, first_mover=first_mover)
+                                 target, reverse, movers=movers)
         assert got.dumps() == want.dumps()
         assert log == want_log
 
@@ -321,7 +320,7 @@ def test_error_raised_after_the_same_changes():
         naive_scheme(u, steps, 8, changes(polarize, want_log), record)
     with pytest.raises(ValueError, match="beyond the float range"):
         _triangular_scheme(u, steps, 8, changes(polarize, got_log), record,
-                           first_mover=first_mover_of(steps))
+                           movers=movers_of(steps))
     assert got_log == want_log != []
 
 

@@ -14,7 +14,7 @@ from rearrange_lab import step1d
 from rearrange_lab.halfspace import Halfspace, Schedule
 from rearrange_lab.step1d import (
     StepFunction,
-    _first_mover,
+    _movers,
     deviation_measure,
     dumps,
     loads,
@@ -167,13 +167,24 @@ class TestPolarize:
 
 def columns(halfspaces):
     """The sign and boundary-point columns of 1-D halfspaces, the form in
-    which _first_mover takes them."""
+    which _movers takes them."""
     nu = np.array([h.normal[0] for h in halfspaces])
     return nu, nu * np.array([h.offset for h in halfspaces])
 
 
+def movers(u, halfspaces):
+    """The positions in halfspaces that _movers yields on u."""
+    entries = [(1, 0, k) for k in range(len(halfspaces))]
+    return [k for _, _, k in _movers(u, entries, *columns(halfspaces))]
+
+
+def first_mover(u, halfspaces):
+    """The first position movers yields; len(halfspaces) for none."""
+    return next(iter(movers(u, halfspaces)), len(halfspaces))
+
+
 def scalar_first_mover(u, halfspaces):
-    """_first_mover by one polarize call per halfspace; a mirror image of
+    """The first mover by one polarize call per halfspace; a mirror image of
     the support beyond the float range is left to polarize as a mover."""
     b = u.breakpoints.tolist()
     for i, h in enumerate(halfspaces):
@@ -231,12 +242,23 @@ HALFSPACE = st.one_of(
         random.Random(seed), signed_offset=True), st.integers(0, 10**9)))
 
 
+def scalar_movers(u, halfspaces):
+    """Every position scalar_first_mover finds a mover at, in order."""
+    return [k for k, h in enumerate(halfspaces)
+            if scalar_first_mover(u, [h]) == 0]
+
+
 class TestFirstMover:
     @given(decision_states(), st.lists(HALFSPACE, max_size=40))
     @settings(max_examples=400, deadline=None)
     def test_matches_scalar_scan(self, u, halfspaces):
-        assert (_first_mover(u, *columns(halfspaces))
+        assert (first_mover(u, halfspaces)
                 == scalar_first_mover(u, halfspaces))
+
+    @given(decision_states(), st.lists(HALFSPACE, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_yields_every_mover_in_order(self, u, halfspaces):
+        assert movers(u, halfspaces) == scalar_movers(u, halfspaces)
 
     def test_bounded_passes_match_scalar_scan(self, monkeypatch):
         # Two halfspaces per pass on these inputs, so a mover sits in a
@@ -249,14 +271,42 @@ class TestFirstMover:
                 u = polarize(u, h)
             monkeypatch.setattr(step1d, "_PASS_CELLS", 2 * u.breakpoints.size)
             for start in range(0, 60, 7):
-                assert (_first_mover(u, *columns(halfspaces[start:]))
+                assert (first_mover(u, halfspaces[start:])
                         == scalar_first_mover(u, halfspaces[start:]))
+                assert (movers(u, halfspaces[start:])
+                        == scalar_movers(u, halfspaces[start:]))
+
+    @pytest.mark.parametrize("pieces", [5, 600, 5000])
+    def test_no_pass_exceeds_the_cell_bound(self, monkeypatch, pieces):
+        """Each kernel pass decides at most _PASS_CELLS // len(breakpoints)
+        halfspaces, and at least one; past 512 breakpoints that is fewer
+        than the first chunk's eight."""
+        rng = random.Random(pieces)
+        u = StepFunction(np.arange(pieces + 1) / 64,
+                         [float(rng.randint(1, 9)) for _ in range(pieces)])
+        cap = max(1, step1d._PASS_CELLS // u.breakpoints.size)
+        rows = []
+        kernel = step1d._mirrored_cells
+
+        def counting(b, padded, nu, c):
+            rows.append(np.size(nu))   # one row per halfspace
+            return kernel(b, padded, nu, c)
+
+        monkeypatch.setattr(step1d, "_mirrored_cells", counting)
+        halfspaces = Schedule(1, rho=1.0).first(40)
+        assert movers(u, halfspaces) == scalar_movers(u, halfspaces)
+        assert rows and max(rows) <= cap
+
+    def test_zero_state_yields_nothing(self):
+        halfspaces = [*Schedule(1, rho=0.1).first(20),
+                      Halfspace.line(1, 1e308), Halfspace.line(-1, 1e308)]
+        assert movers(StepFunction.zero(), halfspaces) == []
 
     def test_mirror_image_beyond_the_float_range(self):
         u = StepFunction.indicator(0, 1)
         noop = Halfspace.line(1, 0.5)
         for far in (Halfspace.line(1, 1e308), Halfspace.line(1, -1e308)):
-            assert _first_mover(u, *columns([noop, far, noop])) == 1
+            assert movers(u, [noop, far, noop]) == [1]
 
     @pytest.mark.parametrize("u, noop, far", [
         # only 2c - b0 overflows, at the largest c of the chunk
@@ -269,8 +319,9 @@ class TestFirstMover:
     def test_mirror_image_beyond_the_float_range_at_one_end(self, u, noop,
                                                            far):
         halfspaces = [noop, far, noop]
-        assert (_first_mover(u, *columns(halfspaces))
+        assert (first_mover(u, halfspaces)
                 == scalar_first_mover(u, halfspaces) == 1)
+        assert movers(u, halfspaces) == scalar_movers(u, halfspaces) == [1]
 
 
 # The lookup loop polarize ran before the mirrored-grid kernel, verbatim:
