@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .halfspace import Halfspace, Schedule
 from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
                      finite_result)
@@ -23,12 +21,12 @@ from .step1d import (
     _abs_diff,
     _deviation,
     _lp_pow,
+    _merged_cells,
     _movers,
     _sup,
     lp_distance_pow,
     lp_norm,
     lp_norm_pow,
-    merged_grid,
     polarize,
     rearrange,
 )
@@ -102,12 +100,8 @@ def polarization_gap(u: StepFunction, h: Halfspace, w: RadialWeight) -> float:
 
 def product_integral(u: StepFunction, v: StepFunction) -> float:
     """Integral of u*v over the merged breakpoint grid."""
-    grid = merged_grid(u, v)
-    if grid.size < 2:
-        return 0.0
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    prod = u.evaluate_many(mids) * v.evaluate_many(mids)
-    return float(math.fsum(prod * np.diff(grid)))
+    a, b, widths = _merged_cells(u, v)
+    return float(math.fsum(a * b * widths))
 
 
 def hardy_littlewood_gap(u: StepFunction, v: StepFunction) -> float:

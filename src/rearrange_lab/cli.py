@@ -51,27 +51,28 @@ _GRID_STEPS = (Axis.X, Axis.Y, LatticeHyperplane(HyperplaneKind.DIAG_UP, 0),
                LatticeHyperplane(HyperplaneKind.DIAG_DOWN, 0))
 
 # Engine -> (read_csv, write_csv, parse --by, polarize, rearrange,
-# converge(u, args, weight)).  Plain tuples of the engine functions: the
-# benchmark's tracer wraps functions held in module-level tables this way.
+# converge(u, args, weight, schedule)).  Plain tuples of the engine
+# functions: the benchmark's tracer wraps functions held in module-level
+# tables this way.
 ENGINES = {
     "step1d": (
         step1d.read_csv, step1d.write_csv,
         functools.partial(Halfspace.parse, dimension=1),
         step1d.polarize, step1d.rearrange,
-        lambda u, args, weight: analysis.converge_scheme(
-            u, Schedule(dimension=1, rho=args.rho), n_max=args.n_max,
-            p=args.p, weight=weight, eps=args.eps, order=args.order)),
+        lambda u, args, weight, schedule: analysis.converge_scheme(
+            u, schedule, n_max=args.n_max, p=args.p, weight=weight,
+            eps=args.eps, order=args.order)),
     "lattice": (
         lattice.read_csv, lattice.write_csv,
         lambda text: _textio.keyed(text, {"c": int}, "c=<int>")[0],
         lattice.polarize_involution, lattice.rearrange_lattice,
-        lambda u, args, weight: lattice.schedule_scheme_lattice(
+        lambda u, args, weight, schedule: lattice.schedule_scheme_lattice(
             u, lattice.spiral_sites(args.n_max), n_max=args.n_max,
             p=args.p, eps=args.eps)),
     "grid2d": (
         grid2d.read_csv, grid2d.write_csv, LatticeHyperplane.parse,
         grid2d.polarize_grid_exact, grid2d.rearrange_grid,
-        lambda u, args, weight: grid2d.mixed_schedule(
+        lambda u, args, weight, schedule: grid2d.mixed_schedule(
             u, _GRID_STEPS, n_max=args.n_max, p=args.p, eps=args.eps)),
 }
 _IO = ENGINES   # the name the benchmark's self-tests read the table by
@@ -97,9 +98,12 @@ def cmd_rearrange(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    # --weight and --rho are checked on every engine, though only step1d
+    # reads them.
     (*_, converge), u = _load(args)
-    converge(u, args, analysis.RadialWeight.parse(args.weight)).write_csv(
-        args.output)
+    weight = analysis.RadialWeight.parse(args.weight)
+    schedule = Schedule(dimension=1, rho=args.rho)
+    converge(u, args, weight, schedule).write_csv(args.output)
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import _textio
 from .errors import ParseError
 from .halfspace import Halfspace
+from .lattice import spiral_sites
 from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
                      finite_result)
 
@@ -224,7 +225,7 @@ def polarize_grid_exact(u: GridFunction, hp: LatticeHyperplane) -> GridFunction:
     in_h = clamped.contains_index(I, J)
     if u.values[~(inside | in_h)].any():   # a positive value would escape
         raise GridFitError(
-            f"support reflects outside the {n}x{n} array for {hp}")
+            f"support reflects outside the {n}x{n} array for {hp.encode()}")
     # Each cell reads its mirror image by flat index; an image off the
     # array reads the zero appended after the last cell.
     source = np.where(inside, (RJ + m) * n + (RI + m), n * n)
@@ -307,10 +308,7 @@ def rearrange_grid(u: GridFunction) -> GridFunction:
 def _spiral_permutation(n: int) -> np.ndarray:
     """Permutation placing sorted-descending values on a length-n centered
     line in spiral order about the middle index."""
-    m = n // 2
-    offsets = np.arange(-m, m + 1)
-    ranks = np.where(offsets > 0, 2 * offsets - 1, -2 * offsets)
-    return _read_only(np.argsort(ranks, kind="stable"))
+    return _read_only(np.array(spiral_sites(n)) + n // 2)
 
 
 def steiner_rows(u: GridFunction, axis: Axis) -> GridFunction:

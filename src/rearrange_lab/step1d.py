@@ -94,15 +94,7 @@ class StepFunction:
 
     def evaluate_many(self, xs: np.ndarray) -> np.ndarray:
         """u at each of xs; piece i covers the half-open [b_i, b_{i+1})."""
-        xs = np.asarray(xs, dtype=float)
-        b = self.breakpoints
-        if b.size == 0:
-            return np.zeros_like(xs)
-        idx = np.searchsorted(b, xs, side="right") - 1
-        inside = (idx >= 0) & (idx < self.values.size)
-        out = np.zeros_like(xs)
-        out[inside] = self.values[idx[inside]]
-        return out
+        return _padded(self)[self.breakpoints.searchsorted(xs, side="right")]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepFunction):
@@ -314,15 +306,20 @@ def merged_grid(u: StepFunction, v: StepFunction) -> np.ndarray:
     return np.union1d(u.breakpoints, v.breakpoints)
 
 
+def _merged_cells(u: StepFunction, v: StepFunction):
+    """u and v on the cells of the merged breakpoint grid, and the cell
+    widths; all empty when u = v = 0.  No breakpoint lies inside a cell, so
+    u and v are read at its left end, as polarize reads a cell."""
+    grid = merged_grid(u, v)
+    lo = grid[:-1]
+    return u.evaluate_many(lo), v.evaluate_many(lo), np.diff(grid)
+
+
 def _abs_diff(u: StepFunction, v: StepFunction):
     """|u - v| on the cells of the merged breakpoint grid, and the cell
     widths; both empty when u = v = 0."""
-    grid = merged_grid(u, v)
-    if grid.size < 2:
-        return _EMPTY, _EMPTY
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    return (np.abs(u.evaluate_many(mids) - v.evaluate_many(mids)),
-            np.diff(grid))
+    a, b, widths = _merged_cells(u, v)
+    return np.abs(a - b), widths
 
 
 def lp_distance_pow(u: StepFunction, v: StepFunction, p: float) -> float:

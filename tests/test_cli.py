@@ -1,6 +1,8 @@
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,19 @@ from rearrange_lab.grid2d import GridFunction, HyperplaneKind, LatticeHyperplane
 from rearrange_lab.lattice import LatticeFunction
 from rearrange_lab.series import ConvergenceSeries
 from rearrange_lab.step1d import StepFunction
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_module(args):
+    """`python -m rearrange_lab args` in a fresh process, with this
+    checkout's src first on PYTHONPATH and the rest of the environment
+    kept."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rearrange_lab", *args],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -60,13 +75,17 @@ class TestPolarize:
                      "--by", "nu=1,d=0.5"]) == 0
         assert step1d.read_csv(out).is_zero
 
-    def test_grid_escape_is_exit_3(self, tmp_path):
+    def test_grid_escape_is_exit_3(self, tmp_path, capsys):
         src = tmp_path / "g.csv"
         out = tmp_path / "out.csv"
         # (2, 0) is outside {i <= -1.5} and reflects to (-5, 0), off the array
         grid2d.write_csv(GridFunction.from_points(2, 1.0, {(2, 0): 1.0}), src)
         assert main(["polarize", "--input", str(src), "--output", str(out),
                      "--by", "dir=X,s=-1.5"]) == 3
+        # the hyperplane is named as --by wrote it
+        assert capsys.readouterr().err == (
+            "geometry error: support reflects outside the 5x5 array for "
+            "dir=X,s=-1.5\n")
 
     def test_bad_geometry_is_exit_2(self, step_file, tmp_path):
         assert main(["polarize", "--input", str(step_file),
@@ -274,6 +293,17 @@ class TestConverge:
         assert all(r.lp_error == 0.0
                    for r in ConvergenceSeries.read_csv(out))
 
+    def test_support_next_to_the_float_max(self, tmp_path):
+        # lo + hi of its cells overflows; lp_error at n=0 is the width of
+        # the support plus that of its rearrangement, with no warning
+        src = tmp_path / "u.csv"
+        out = tmp_path / "s.csv"
+        src.write_text("breakpoint,value\n1.5e308,1\n1.7e308,\n")
+        assert main(["converge", "--input", str(src), "--output", str(out),
+                     "--n-max", "3"]) == 0
+        assert (ConvergenceSeries.read_csv(out)[0].lp_error
+                == 3.9999999999999984e+307)
+
     def test_reversed_order(self, step_file, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["converge", "--input", str(step_file),
@@ -411,13 +441,18 @@ class TestNumericOptions:
         assert out == ""
         assert "rho must lie in [2**-1022, 2**1023)" in err
 
-    @pytest.mark.parametrize("rho", ["inf", "1e-320"])
-    def test_converge_rho_outside_the_range_is_exit_2(self, step_file,
-                                                      tmp_path, rho):
+    @pytest.mark.parametrize("rho", ["inf", "1e-320", "-5"])
+    def test_converge_rho_outside_the_range_is_exit_2(
+            self, step_file, lattice_file, grid_file, tmp_path, capsys, rho):
+        # --rho is checked on every engine, though only step1d uses it
         out = tmp_path / "s.csv"
-        assert main(["converge", "--input", str(step_file),
-                     "--output", str(out), "--rho", rho]) == 2
-        assert not out.exists()
+        for src in (step_file, lattice_file, grid_file):
+            assert main(["converge", "--input", str(src),
+                         "--output", str(out), "--rho", rho]) == 2
+            assert capsys.readouterr().err == (
+                "error: rho must lie in [2**-1022, 2**1023), "
+                f"got {float(rho)}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("engine", ["step_file", "lattice_file",
                                         "grid_file"])
@@ -484,10 +519,7 @@ class TestParserReuse:
             here, fresh = tmp_path / f"here-{k}.csv", tmp_path / f"fresh-{k}.csv"
             code = main([a.replace("{out}", str(here)) for a in call])
             got = capsys.readouterr()
-            proc = subprocess.run(
-                [sys.executable, "-m", "rearrange_lab",
-                 *[a.replace("{out}", str(fresh)) for a in call]],
-                capture_output=True, text=True)
+            proc = run_module([a.replace("{out}", str(fresh)) for a in call])
             assert (code, got.out, got.err) == (
                 proc.returncode, proc.stdout, proc.stderr), call
             assert here.exists() == fresh.exists()
@@ -542,10 +574,8 @@ class TestSchedule:
 class TestEntryPoint:
     def test_module_invocation(self, step_file, tmp_path):
         out = tmp_path / "o.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "rearrange_lab", "rearrange",
-             "--input", str(step_file), "--output", str(out)],
-            capture_output=True, text=True)
+        proc = run_module(["rearrange", "--input", str(step_file),
+                           "--output", str(out)])
         assert proc.returncode == 0
         assert step1d.read_csv(out) == StepFunction.indicator(-0.5, 0.5)
 

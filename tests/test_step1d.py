@@ -11,6 +11,7 @@ from hypothesis import (
 from rearrange_lab import generators
 from rearrange_lab.errors import ParseError
 from rearrange_lab import step1d
+from rearrange_lab.analysis import product_integral
 from rearrange_lab.halfspace import Halfspace, Schedule
 from rearrange_lab.step1d import (
     StepFunction,
@@ -500,6 +501,64 @@ class TestFunctionals:
         assert deviation_measure(u, v, 0.001) == 2.0
         with pytest.raises(ValueError):
             deviation_measure(u, v, 0.0)
+
+
+# The midpoint reads _abs_diff made before it read each cell at its left
+# end, verbatim, with the masked lookup of evaluate_many of then; kept as
+# the reference.
+def masked_evaluate_many(u: StepFunction, xs: np.ndarray) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    b = u.breakpoints
+    if b.size == 0:
+        return np.zeros_like(xs)
+    idx = np.searchsorted(b, xs, side="right") - 1
+    inside = (idx >= 0) & (idx < u.values.size)
+    out = np.zeros_like(xs)
+    out[inside] = u.values[idx[inside]]
+    return out
+
+
+def midpoint_abs_diff(u: StepFunction, v: StepFunction):
+    grid = step1d.merged_grid(u, v)
+    if grid.size < 2:
+        return np.empty(0), np.empty(0)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    return (np.abs(masked_evaluate_many(u, mids)
+                   - masked_evaluate_many(v, mids)),
+            np.diff(grid))
+
+
+class TestMergedCells:
+    @given(decision_states(), decision_states())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_midpoint_reads_where_they_lie_inside(self, u, v):
+        grid = step1d.merged_grid(u, v)
+        with np.errstate(over="ignore"):
+            mids = 0.5 * (grid[:-1] + grid[1:])
+        assume(np.all((grid[:-1] < mids) & (mids < grid[1:])))
+        got, want = step1d._abs_diff(u, v), midpoint_abs_diff(u, v)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_subnormal_cell(self):
+        # the midpoint of [5e-324, 1e-323) rounds onto its right end
+        u = StepFunction([5e-324, 1e-323], [1.0])
+        zero = StepFunction.zero()
+        assert sup_distance(u, zero) == 1.0
+        assert lp_distance(u, zero, 1) == 5e-324
+        assert deviation_measure(u, zero, 0.5) == 5e-324
+        assert product_integral(u, u) == 5e-324
+
+    def test_cell_next_to_the_float_max(self):
+        # lo + hi overflows here; the distance is the support's width
+        u = StepFunction([1.5e308, 1.7e308], [1.0])
+        assert lp_distance(u, StepFunction.zero(), 1) == 1.7e308 - 1.5e308
+
+    def test_zero_functions(self):
+        zero = StepFunction.zero()
+        assert [a.size for a in step1d._merged_cells(zero, zero)] == [0, 0, 0]
+        assert sup_distance(zero, zero) == 0.0
+        assert product_integral(zero, zero) == 0.0
 
 
 class TestCsv:
