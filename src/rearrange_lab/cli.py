@@ -98,11 +98,13 @@ def cmd_rearrange(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    # --weight and --rho are checked on every engine, though only step1d
-    # reads them.
+    # --weight, --rho and --eps are checked on every engine, though only
+    # step1d reads the first two.
     (*_, converge), u = _load(args)
     weight = analysis.RadialWeight.parse(args.weight)
     schedule = Schedule(dimension=1, rho=args.rho)
+    if args.eps <= 0:
+        raise ValueError("eps must be positive")
     converge(u, args, weight, schedule).write_csv(args.output)
     return EXIT_OK
 

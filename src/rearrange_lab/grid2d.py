@@ -190,7 +190,8 @@ class GridFunction:
                 and np.array_equal(self.values, other.values))
 
     def __hash__(self):
-        return hash((self.m, self.h, self.values.tobytes()))
+        # + 0.0 makes -0.0 into 0.0, as == does not tell them apart
+        return hash((self.m, self.h, (self.values + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"GridFunction(m={self.m}, h={self.h})"

@@ -47,7 +47,7 @@ class LatticeFunction:
         items = mapping.items() if isinstance(mapping, Mapping) else mapping
         values, zeros = {}, set()
         for site, value in items:
-            site, value = int(site), float(value)
+            site, value = operator.index(site), float(value)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"value at site {site} must be finite and >= 0")
             if site in values or site in zeros:

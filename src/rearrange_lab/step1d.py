@@ -12,7 +12,7 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 
 import numpy as np
 
@@ -46,9 +46,9 @@ class StepFunction:
             # with increasing breakpoints this also makes each one finite.
             if not math.isfinite(float(b[-1]) - float(b[0])):
                 raise ValueError("breakpoints must span a finite length")
-            if not np.all(np.diff(b) > 0):
+            if not (b[1:] > b[:-1]).all():
                 raise ValueError("breakpoints must be strictly increasing")
-            if np.any(v < 0) or not np.all(np.isfinite(v)):
+            if not ((v >= 0) & (v < math.inf)).all():
                 raise ValueError("values must be finite and nonnegative")
             b, v = _canonicalize(b, v)
         b.setflags(write=False)
@@ -103,7 +103,9 @@ class StepFunction:
                 and np.array_equal(self.values, other.values))
 
     def __hash__(self):
-        return hash((self.breakpoints.tobytes(), self.values.tobytes()))
+        # + 0.0 makes -0.0 into 0.0, as == does not tell them apart
+        return hash(((self.breakpoints + 0.0).tobytes(),
+                     (self.values + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -113,10 +115,7 @@ class StepFunction:
 
 def _canonicalize(b: np.ndarray, v: np.ndarray):
     """Merge equal neighbours and strip zero ends; empty means u == 0."""
-    keep = np.empty(b.size, dtype=bool)
-    keep[0] = keep[-1] = True
-    np.not_equal(v[1:], v[:-1], out=keep[1:-1])
-    idx = keep.nonzero()[0]
+    idx = _run_edges(v).nonzero()[0]
     nb = b[idx]
     nv = v[idx[:-1]]
     nz = nv.nonzero()[0]
@@ -124,6 +123,16 @@ def _canonicalize(b: np.ndarray, v: np.ndarray):
         return _EMPTY.copy(), _EMPTY.copy()
     lo, hi = nz[0], nz[-1]
     return nb[lo:hi + 2], nv[lo:hi + 1]
+
+
+def _run_edges(a: np.ndarray) -> np.ndarray:
+    """The a.size + 1 gaps before, between and after the entries of a,
+    True where a run of equal entries starts or ends: [:-1] marks the first
+    entry of each run, [1:] the last."""
+    edges = np.empty(a.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(a[1:], a[:-1], out=edges[1:-1])
+    return edges
 
 
 def _mirrored_cells(b: np.ndarray, padded: np.ndarray, nu, c):
@@ -195,9 +204,7 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     if not moved.any():
         return u
     # each start of a cell of positive width, and the grid's end
-    kept = np.empty(grid.size, dtype=bool)
-    kept[-1] = True
-    np.greater(grid[1:], grid[:-1], out=kept[:-1])
+    kept = _run_edges(grid)[1:]
     return StepFunction._from_canonical(
         *_canonicalize(grid[kept], val[kept[:-1]]))
 
@@ -243,15 +250,20 @@ def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray):
 
 
 def _grouped_lengths(u: StepFunction):
-    """Distinct positive values (ascending) with their total piece lengths."""
+    """Distinct positive values (ascending) with their total piece lengths,
+    each total summed in the order of u's pieces."""
     if u.is_zero:
         return _EMPTY, _EMPTY
-    lengths = np.diff(u.breakpoints)
-    distinct, inverse = np.unique(u.values, return_inverse=True)
+    b, v = u.breakpoints, u.values
+    order = v.argsort(kind="stable")
+    ranked = v[order]
+    first = _run_edges(ranked)[:-1]
+    distinct = ranked[first]
     totals = np.zeros(distinct.size)
-    np.add.at(totals, inverse, lengths)
-    mask = distinct > 0
-    return distinct[mask], totals[mask]
+    np.add.at(totals, first.cumsum() - 1, (b[1:] - b[:-1])[order])
+    # values are nonnegative, so only the first group can be the zero group
+    zero = int(distinct[0] == 0)
+    return distinct[zero:], totals[zero:]
 
 
 def rearrange(u: StepFunction) -> StepFunction:
@@ -259,21 +271,28 @@ def rearrange(u: StepFunction) -> StepFunction:
 
     Superlevel sets of the result are intervals centered at 0 with the same
     measure as those of u; the result is even up to the half-open convention
-    and nonincreasing in |x|.
+    and nonincreasing in |x|.  ValueError when the measure of u's support
+    sums beyond the float range.
     """
     if u.is_zero:
         return u
     distinct, totals = _grouped_lengths(u)
-    dvals = distinct[::-1]           # descending
-    cumulative = np.cumsum(totals[::-1])
-    half = cumulative / 2.0
+    # In Python floats, added in np.cumsum's order, so that an overflow
+    # raises no numpy warning.
+    cumulative = list(accumulate(totals[::-1].tolist()))
+    if math.isinf(cumulative[-1]):
+        raise ValueError("the length of the rearranged support is beyond "
+                         "the float range")
+    half = np.array(cumulative) / 2.0
     breakpoints = np.concatenate([-half[::-1], half])
-    if not np.all(breakpoints[1:] > breakpoints[:-1]):
+    if not (breakpoints[1:] > breakpoints[:-1]).all():
         raise ValueError("the rearranged breakpoints collapse: a piece is "
                          "narrower than one float step of the cumulative "
                          "measure at its place")
-    values = np.concatenate([dvals[::-1], dvals[1:]])
-    out = StepFunction(breakpoints, values)
+    # canonical by construction: distinct values > 0, ascending then
+    # descending, on strictly increasing finite breakpoints
+    out = StepFunction._from_canonical(
+        breakpoints, np.concatenate([distinct, distinct[-2::-1]]))
     return u if out == u else out
 
 
@@ -303,7 +322,11 @@ def lp_norm(u: StepFunction, p: float) -> float:
 
 
 def merged_grid(u: StepFunction, v: StepFunction) -> np.ndarray:
-    return np.union1d(u.breakpoints, v.breakpoints)
+    """The sorted distinct breakpoints of u and v; of a -0.0 and a 0.0, the
+    one met first in u then v."""
+    grid = np.concatenate([u.breakpoints, v.breakpoints])
+    grid.sort(kind="stable")
+    return grid[_run_edges(grid)[:-1]]
 
 
 def _merged_cells(u: StepFunction, v: StepFunction):
@@ -312,7 +335,7 @@ def _merged_cells(u: StepFunction, v: StepFunction):
     u and v are read at its left end, as polarize reads a cell."""
     grid = merged_grid(u, v)
     lo = grid[:-1]
-    return u.evaluate_many(lo), v.evaluate_many(lo), np.diff(grid)
+    return u.evaluate_many(lo), v.evaluate_many(lo), grid[1:] - lo
 
 
 def _abs_diff(u: StepFunction, v: StepFunction):

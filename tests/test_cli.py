@@ -234,6 +234,28 @@ class TestRearrange:
                      *args[1:]]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["rearrange"],
+                                      ["converge", "--n-max", "3"]])
+    def test_rearranged_length_beyond_largest_double_is_exit_2(
+            self, tmp_path, capsys, args):
+        # the span is finite, but the layer cake's sum of the grouped piece
+        # lengths rounds beyond the largest double
+        src = tmp_path / "u.csv"
+        out = tmp_path / "o.csv"
+        src.write_text("breakpoint,value\n"
+                       "-8.988465674311578e+307,1\n"
+                       "-3.5693773871033044e+307,2\n"
+                       "-1.9259079943139304e+306,3\n"
+                       "6.742918414183176e+307,4\n"
+                       "8.952001825597159e+307,5\n"
+                       "8.988465674311579e+307,\n")
+        assert main([args[0], "--input", str(src), "--output", str(out),
+                     *args[1:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: the length of the rearranged support is beyond the "
+            "float range\n")
+        assert not out.exists()
+
     def test_engine_inference_vs_override(self, step_file, lattice_file,
                                           grid_file, tmp_path):
         # the header alone decides the engine: --engine is no option
@@ -478,6 +500,17 @@ class TestNumericOptions:
                      "--output", str(tmp_path / "s.csv"), *args]) == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "-0.0"])
+    def test_converge_eps_not_positive_is_exit_2(
+            self, step_file, lattice_file, grid_file, tmp_path, capsys, eps):
+        # --eps is checked on every engine, not only where step1d's
+        # deviation measure reads it
+        out = tmp_path / "s.csv"
+        for src in (step_file, lattice_file, grid_file):
+            assert main(["converge", "--input", str(src),
+                         "--output", str(out), "--eps", eps]) == 2
+            assert capsys.readouterr().err == "error: eps must be positive\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("engine", ["lattice_file", "grid_file"])
     @pytest.mark.parametrize("p, code", [("0", 2), ("-1", 2), ("0.5", 0)])

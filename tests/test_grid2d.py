@@ -95,6 +95,13 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             GridFunction(1, 1.0, -np.ones((3, 3)))
 
+    def test_equal_with_signed_zeros_hash_equal(self):
+        a = GridFunction(1, 1.0, np.full((3, 3), -0.0))
+        b = GridFunction(1, 1.0, np.zeros((3, 3)))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_from_points_and_value(self):
         g = GridFunction.from_points(2, 0.5, {(1, -2): 3.0})
         assert g.value(1, -2) == 3.0

@@ -59,6 +59,13 @@ class TestLatticeFunction:
     def test_equality(self):
         assert LatticeFunction({1: 2.0}) == LatticeFunction([(1, 2.0), (5, 0.0)])
 
+    @pytest.mark.parametrize("sites", [{0.5: 1.0, 2.9: 3.0}, {2.0: 1.0},
+                                       {"3": 1.0}])
+    def test_non_integer_site_rejected(self, sites):
+        # int() would truncate 0.5 and 2.9 to the sites 0 and 2
+        with pytest.raises(TypeError):
+            LatticeFunction(sites)
+
     @pytest.mark.parametrize("pairs", [
         [(1, 2.0), (1, 3.0)], [(1, 2.0), (1, 0.0)], [(1, 0.0), (1, 2.0)],
     ])

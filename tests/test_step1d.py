@@ -2,6 +2,8 @@ import math
 import random
 import re
 from bisect import bisect_right
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +90,16 @@ class TestStepFunction:
         b = StepFunction([0, 0.5, 1], [2.0, 2.0])
         assert a == b
         assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("a, b", [
+        (StepFunction([-0.0, 1.0], [1.0]), StepFunction([0.0, 1.0], [1.0])),
+        (StepFunction([0, 1, 2, 3], [1.0, -0.0, 2.0]),
+         StepFunction([0, 1, 2, 3], [1.0, 0.0, 2.0])),
+    ])
+    def test_equal_with_signed_zeros_hash_equal(self, a, b):
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 class TestPolarize:
@@ -458,6 +470,18 @@ class TestRearrange:
     def test_zero(self):
         assert rearrange(StepFunction.zero()).is_zero
 
+    def test_length_beyond_the_float_range(self):
+        # the span is finite, but the grouped lengths sum beyond it
+        u = StepFunction([-8.988465674311578e+307, -3.5693773871033044e+307,
+                          -1.9259079943139304e+306, 6.742918414183176e+307,
+                          8.952001825597159e+307, 8.988465674311579e+307],
+                         [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert math.isfinite(u.breakpoints[-1] - u.breakpoints[0])
+        # a numpy overflow warning would be an error here (filterwarnings)
+        with pytest.raises(ValueError, match="^the length of the rearranged "
+                           "support is beyond the float range$"):
+            rearrange(u)
+
     @pytest.mark.parametrize("u", [
         StepFunction([0, 1e-17, 1], [1.0, 2.0]),   # 1 + 1e-17 rounds to 1
         StepFunction([0, 5e-324], [1.0]),          # half of 5e-324 is 0
@@ -465,6 +489,32 @@ class TestRearrange:
     def test_piece_below_a_float_step_of_the_measure(self, u):
         with pytest.raises(ValueError, match="rearranged breakpoints collapse"):
             rearrange(u)
+
+
+def level_measures(u: StepFunction) -> dict:
+    """The exact measure of each level set {u = y}, y > 0."""
+    out = defaultdict(Fraction)
+    for a, b, y in u.pieces():
+        if y > 0:
+            out[y] += Fraction(b) - Fraction(a)
+    return out
+
+
+class TestLevelSetMeasures:
+    """A Fraction oracle: on dyadic inputs, each level set keeps its exact
+    measure, with no float arithmetic in the check."""
+
+    @given(dyadic_steps())
+    @settings(max_examples=200, deadline=None)
+    def test_rearrange(self, u):
+        assert level_measures(rearrange(u)) == level_measures(u)
+
+    @given(dyadic_steps(), st.sampled_from((1.0, -1.0)),
+           st.integers(-64, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_polarize_across_dyadic_centers(self, u, sign, k):
+        out = polarize(u, Halfspace.line(sign, k / 64.0))
+        assert level_measures(out) == level_measures(u)
 
 
 class TestFunctionals:
