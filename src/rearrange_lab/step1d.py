@@ -12,7 +12,7 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, compress, islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -255,12 +255,14 @@ def _grouped_lengths(u: StepFunction):
     if u.is_zero:
         return _EMPTY, _EMPTY
     b, v = u.breakpoints, u.values
-    order = v.argsort(kind="stable")
+    order = v.argsort()
     ranked = v[order]
     first = _run_edges(ranked)[:-1]
     distinct = ranked[first]
+    group = np.empty(v.size, dtype=np.intp)   # each piece's group
+    group[order] = first.cumsum() - 1
     totals = np.zeros(distinct.size)
-    np.add.at(totals, first.cumsum() - 1, (b[1:] - b[:-1])[order])
+    np.add.at(totals, group, b[1:] - b[:-1])
     # values are nonnegative, so only the first group can be the zero group
     zero = int(distinct[0] == 0)
     return distinct[zero:], totals[zero:]
@@ -277,13 +279,12 @@ def rearrange(u: StepFunction) -> StepFunction:
     if u.is_zero:
         return u
     distinct, totals = _grouped_lengths(u)
-    # In Python floats, added in np.cumsum's order, so that an overflow
-    # raises no numpy warning.
-    cumulative = list(accumulate(totals[::-1].tolist()))
+    with np.errstate(over="ignore"):   # an overflow is the error below
+        cumulative = totals[::-1].cumsum()
     if math.isinf(cumulative[-1]):
         raise ValueError("the length of the rearranged support is beyond "
                          "the float range")
-    half = np.array(cumulative) / 2.0
+    half = cumulative / 2.0
     breakpoints = np.concatenate([-half[::-1], half])
     if not (breakpoints[1:] > breakpoints[:-1]).all():
         raise ValueError("the rearranged breakpoints collapse: a piece is "

@@ -159,10 +159,9 @@ def same_function(got, want):
 class TestConstructor:
     @given(constructor_args())
     @settings(max_examples=600, deadline=None)
-    # np.diff overflows, and NaN breakpoints
-    @example(([0.0, 1e308, -1e308, 1.0], [1.0, 1.0, 1.0]))
-    @example(([0.0, 1.0, 2.0, 3.0], [1.0, -0.0, 1.0]))
+    @example(([0.0, 1e308, -1e308, 1.0], [1.0] * 3))   # np.diff overflows
     @example(([0.0, math.nan, 2.0], [1.0, 1.0]))
+    @example(([0.0, 1.0, 2.0, 3.0], [1.0, -0.0, 1.0]))
     @example(([-HUGE / 2, HUGE / 2], [1.0]))
     def test_same_function_or_error(self, args):
         same_function(outcome(StepFunction, *args),
