@@ -273,8 +273,8 @@ def rearrange(u: StepFunction) -> StepFunction:
 
     Superlevel sets of the result are intervals centered at 0 with the same
     measure as those of u; the result is even up to the half-open convention
-    and nonincreasing in |x|.  ValueError when the measure of u's support
-    sums beyond the float range.
+    and nonincreasing in |x|.  ValueError when its breakpoints collapse or
+    its length is beyond the float range.
     """
     if u.is_zero:
         return u
