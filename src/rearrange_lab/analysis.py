@@ -112,7 +112,13 @@ def hardy_littlewood_gap(u: StepFunction, v: StepFunction) -> float:
 
 def cavalieri_gap(u: StepFunction, p: float) -> float:
     """|  ||u*||_p^p - ||u||_p^p |; zero up to grouping arithmetic."""
-    return abs(lp_norm_pow(rearrange(u), p) - lp_norm_pow(u, p))
+    return _cavalieri_gap(u, rearrange(u), p)
+
+
+def _cavalieri_gap(u: StepFunction, u_star: StepFunction, p: float) -> float:
+    """cavalieri_gap with u* = rearrange(u) given, for callers that try
+    several p on one u."""
+    return abs(lp_norm_pow(u_star, p) - lp_norm_pow(u, p))
 
 
 def contraction_gap(u: StepFunction, v: StepFunction, p: float) -> float:

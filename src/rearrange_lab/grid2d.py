@@ -360,6 +360,8 @@ def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
     (row n=0 is the starting point)."""
     if not p > 0:
         raise ValueError("p must be > 0")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     steps = list(steps)
     if not steps:
         raise ValueError("need at least one step")

@@ -12,6 +12,8 @@ import math
 import operator
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from . import _textio
 from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
                      finite_result)
@@ -132,8 +134,8 @@ def two_involution_scheme(u: LatticeFunction, max_sweeps: int | None = None):
     """Iterate the polarization pair (x -> -x, x -> 1 - x) to its common
     fixed point, which equals rearrange_lattice(u).
 
-    Returns (fixed point, sweeps used).  Raises ConvergenceError if the
-    budget is exhausted.
+    Returns (fixed point, sweeps used), with u itself when the first sweep
+    moves nothing.  Raises ConvergenceError if the budget is exhausted.
 
     The default budget, ceil((R + 1) / 2) + 1 sweeps with R the largest
     spiral rank in the support of u (R = 0 for the zero function), always
@@ -146,20 +148,45 @@ def two_involution_scheme(u: LatticeFunction, max_sweeps: int | None = None):
     phases (Knuth, TAOCP vol. 3, 5.3.4), that is ceil((R + 1) / 2) sweeps,
     after which one more sweep sees that nothing moves.
 
-    A sweep that moves anything strictly raises the exact spiral mass
-    sum u(x) / (1 + rank x), so it cannot return an equal function: the
-    scheme stops at the first sweep whose result is its input object.
+    The sweeps run on that sort: u is held in a zero-padded array indexed
+    by spiral rank, of the least even length past R + 1, and each phase is
+    one compare-exchange of two strided views, the maximum to the lower
+    rank and the minimum to the higher.  Values are only moved, so the
+    result is bit-exact.  A sweep moves nothing exactly when it starts
+    from the nonincreasing order, since every adjacent pair belongs to one
+    of its phases, so the scheme stops at the first sweep that starts from
+    the sorted array.  Memory and each sweep cost O(R), not O(len(u)), so
+    a sparse u with a far site is slow: {30000: 1.0, -7: 2.0} and
+    {30000: 1.0, 15000: 2.0} each take 30001 sweeps and about 5.0 s, where
+    a sweep over the support dict took about 0.1 s (one core of a 2-core
+    x86-64 machine, Python 3.11, NumPy 2.4).
     """
+    values = u._values
+    ranks = list(map(rank, values))
+    top = max(ranks, default=0)
     if max_sweeps is None:   # ceil((R + 1) / 2) + 1
-        max_sweeps = max(map(rank, u._values), default=0) // 2 + 2
+        max_sweeps = top // 2 + 2
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    current = u
+    # A phase moves a value by at most one rank, and the value at rank R
+    # must end below rank len(u): a budget short of that fails before the
+    # O(R) array is made.
+    if values and 2 * (max_sweeps - 1) < top - len(values) + 1:
+        raise ConvergenceError(f"no fixed point within {max_sweeps} sweeps")
+    a = np.zeros((top + 3) // 2 * 2)
+    a[ranks] = list(values.values())
+    fixed_bytes = np.sort(a)[::-1].tobytes()
+    # x -> -x pairs ranks (2k - 1, 2k); x -> 1 - x pairs (2k - 2, 2k - 1).
+    phases = ((a[1:-1:2], a[2::2]), (a[0::2], a[1::2]))
     for sweep in range(1, max_sweeps + 1):
-        step = polarize_involution(polarize_involution(current, 0), 1)
-        if step is current:
-            return current, sweep
-        current = step
+        if a.tobytes() == fixed_bytes:
+            if sweep == 1:
+                return u, 1
+            return LatticeFunction._checked(
+                {site_of_rank(r): v
+                 for r, v in enumerate(a[:len(values)].tolist())}), sweep
+        for lo, hi in phases:
+            lo[...], hi[...] = np.maximum(lo, hi), np.minimum(lo, hi)
     raise ConvergenceError(f"no fixed point within {max_sweeps} sweeps")
 
 
@@ -179,6 +206,8 @@ def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
     rearrangement of u; row n=0 is the starting point."""
     if not p > 0:
         raise ValueError("p must be > 0")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     centers = list(centers)
     if len(centers) < n_max:
         raise ValueError("need at least n_max involution centers")

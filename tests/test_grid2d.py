@@ -481,6 +481,15 @@ class TestMixedSchedule:
         with pytest.raises(ValueError):
             mixed_schedule(GridFunction.zeros(1), [], n_max=3)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_eps_not_positive_rejected_before_any_polarization(
+            self, monkeypatch, eps):
+        monkeypatch.setattr(grid2d, "polarize_grid_exact", None)
+        g = GridFunction.from_points(2, 0.5, {(1, 0): 1.0})
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            mixed_schedule(g, [LatticeHyperplane(HyperplaneKind.X, 0.0)],
+                           n_max=3, eps=eps)
+
 
 class TestCsv:
     def test_roundtrip(self):

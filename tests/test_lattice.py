@@ -3,9 +3,9 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rearrange_lab import generators
+from rearrange_lab import generators, lattice
 from rearrange_lab.errors import ParseError
 from rearrange_lab.lattice import (
     ConvergenceError,
@@ -167,6 +167,8 @@ class TestTwoInvolutionScheme:
             two_involution_scheme(LatticeFunction({40: 1.0}), max_sweeps=3)
         with pytest.raises(ConvergenceError):   # one below the derived budget
             two_involution_scheme(LatticeFunction({5: 1.0}), max_sweeps=5)
+        with pytest.raises(ConvergenceError):   # no rank array of 2e18 sites
+            two_involution_scheme(LatticeFunction({10**18: 1.0}), max_sweeps=3)
         with pytest.raises(ValueError):
             two_involution_scheme(LatticeFunction({0: 1.0}), max_sweeps=0)
 
@@ -305,9 +307,20 @@ class TestReference:
         assert (out is u) == (ref is u)
 
     @given(lattice_functions(sites=st.integers(-300, 300)))
+    @example(LatticeFunction({3000: 1.0, -7: 2.0}))   # a far, sparse support
+    @example(LatticeFunction({4: 5e-324, -9: 1.7e308, 0: 5e-324, 1: 1.7e308}))
+    @example(LatticeFunction())
     @settings(deadline=None)
     def test_scheme_matches_the_reference(self, u):
-        assert two_involution_scheme(u) == reference_two_involution_scheme(u)
+        fixed, sweeps = two_involution_scheme(u)
+        ref_fixed, ref_sweeps = reference_two_involution_scheme(u)
+        assert (fixed, sweeps) == (ref_fixed, ref_sweeps)
+        assert (fixed is u) == (sweeps == 1)
+        if ref_sweeps > 1:   # max_sweeps=0 is a ValueError, not a budget
+            with pytest.raises(ConvergenceError):
+                two_involution_scheme(u, max_sweeps=ref_sweeps - 1)
+            with pytest.raises(ConvergenceError):
+                reference_two_involution_scheme(u, max_sweeps=ref_sweeps - 1)
 
 
 class TestScheduleScheme:
@@ -330,6 +343,14 @@ class TestScheduleScheme:
     def test_needs_enough_centers(self):
         with pytest.raises(ValueError):
             schedule_scheme_lattice(LatticeFunction({1: 1.0}), [0, 1], n_max=5)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_eps_not_positive_rejected_before_any_polarization(
+            self, monkeypatch, eps):
+        monkeypatch.setattr(lattice, "polarize_involution", None)
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            schedule_scheme_lattice(LatticeFunction({0: 1.0, 3: 2.0}),
+                                    spiral_sites(4), n_max=4, eps=eps)
 
 
 class TestCsv:
