@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .halfspace import Halfspace, Schedule
 from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
                      finite_result)
@@ -85,11 +87,17 @@ def weighted_mass(u: StepFunction, w: RadialWeight) -> float:
     """Integral of u * w; exact for the triangular weight, error-function
     quadrature (absolute error well below 1e-12) for the Gaussian.
     ValueError when the mass leaves the float range."""
-    # Python floats, so that an overflow raises no numpy warning.
-    f = [w.antiderivative(x) for x in u.breakpoints.tolist()]
-    return finite_result(lambda: math.fsum(
-        v * (hi - lo) for v, lo, hi in zip(u.values.tolist(), f, f[1:])),
-        "weighted mass")
+    b = u.breakpoints
+    # Overflows give inf and nan as in Python floats, with no numpy warning;
+    # the sum then raises or is not finite.
+    with np.errstate(all="ignore"):
+        if w.radius is None:
+            f = np.array([w.antiderivative(x) for x in b.tolist()])
+        else:   # antiderivative's operations, elementwise
+            r = np.minimum(np.abs(b), w.radius)
+            f = np.copysign(w.radius * r - 0.5 * r * r, b)
+        terms = u.values * (f[1:] - f[:-1])
+    return finite_result(lambda: math.fsum(terms.tolist()), "weighted mass")
 
 
 def polarization_gap(u: StepFunction, h: Halfspace, w: RadialWeight) -> float:
@@ -151,7 +159,9 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
         raise ValueError("the exact scheme runs on the 1-D engine")
     if weight is None:
         weight = RadialWeight.triangular(16.0)
-    # The schedule as columns; a Halfspace is built only for polarize.
+    # The schedule as columns.  _movers gives each new state; a Halfspace
+    # is built only for polarize, which decides the entries _movers yields
+    # with no state: those that mirror the support beyond the float range.
     nu, d = schedule._columns(n_max)
     c = nu * d
     target = rearrange(u)

@@ -26,6 +26,9 @@ EXIT_USAGE = 2
 EXIT_GEOMETRY = 3
 EXIT_INVARIANT = 4
 
+# converge --n-max: the schedule, the site list and the records grow with it
+N_MAX_LIMIT = 10**6
+
 
 def _sniff_engine(path: str) -> str:
     """The engine of a table file, from its first non-blank line (the codec
@@ -98,6 +101,8 @@ def cmd_rearrange(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    if args.n_max > N_MAX_LIMIT:   # before anything grows with it
+        raise ParseError(f"--n-max must be at most {N_MAX_LIMIT}")
     # --weight, --rho and --eps are checked on every engine, though only
     # step1d reads the first two.
     (*_, converge), u = _load(args)
@@ -238,7 +243,8 @@ def _build_parser():
     p.add_argument("--p", type=finite, default=1.0)
     p.add_argument("--rho", type=float, default=1.0,
                    help="schedule offset bound")
-    p.add_argument("--n-max", type=int, default=60)
+    p.add_argument("--n-max", type=int, default=60,
+                   help=f"outer steps, at most {N_MAX_LIMIT}")
     p.add_argument("--eps", type=finite, default=0.01,
                    help="level for the deviation-measure column")
     p.add_argument("--weight", default="triangular:16",

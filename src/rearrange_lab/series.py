@@ -94,11 +94,13 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
     The driver works per state, not per index.  apply must return its
     input object when it changes nothing, and repeat that answer for the
     same state and step.  From each new state the driver lists the
-    applications the naive loop makes next (``_upcoming``) and applies
-    them in order until one returns a new state.  When given,
-    movers(state, upcoming) filters those applications: it yields, in
-    order, the entries (outer step, position, index) of upcoming whose
-    step apply may change state with, and only those reach apply.  An
+    applications the naive loop makes next (``_upcoming``, as entries
+    (outer step, position, index, None)) and applies them in order until
+    one returns a new state.  When given, movers(state, upcoming) filters
+    those entries: it yields, in order, the entries of upcoming whose
+    step apply may change state with, and only those are taken.  An entry
+    it yields with a state in place of None is that step's result, which
+    the driver adopts without calling apply; the others reach apply.  An
     outer step that ends on the identical state repeats the previous
     record with the new n.  Both give the rows of the naive loop."""
     if n_max < 1:
@@ -128,12 +130,13 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
         upcoming = _upcoming(*resume, n_max, len(steps), reverse)
         if movers is not None:
             upcoming = movers(current, upcoming)
-        for m, q, k in upcoming:
+        for m, q, k, out in upcoming:
             if m > n:
                 finish(m)
                 if done:
                     break
-            out = apply(current, steps[k])
+            if out is None:
+                out = apply(current, steps[k])
             if out is not current:
                 current, resume = out, (m, q + 1)
                 break
@@ -144,11 +147,12 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
 
 
 def _upcoming(n, q, n_max, size, reverse):
-    """(outer step, position, index) of the applications the naive loop
-    makes from position q of outer step n on, while the state stays the
-    same.  Each index is listed at its first appearance only: a repeat on
-    the same state gives the same no-op.  That is the rest of step n, all
-    of step n + 1, and then the one new index m - 1 of each later step m."""
+    """(outer step, position, index, None) of the applications the naive
+    loop makes from position q of outer step n on, while the state stays
+    the same; None stands for the result, not known yet.  Each index is
+    listed at its first appearance only: a repeat on the same state gives
+    the same no-op.  That is the rest of step n, all of step n + 1, and
+    then the one new index m - 1 of each later step m."""
     seen = set()
     for m in range(n, n_max + 1):
         if m <= n + 1:
@@ -159,6 +163,6 @@ def _upcoming(n, q, n_max, size, reverse):
             k = (m - 1 - pos if reverse else pos) % size
             if k not in seen:
                 seen.add(k)
-                yield m, pos, k
+                yield m, pos, k, None
         if len(seen) == size:
             return

@@ -12,7 +12,7 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
-from itertools import compress, islice
+from itertools import islice
 
 import numpy as np
 
@@ -203,6 +203,12 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     # u is constant on each cell, so the result is u unless a cell moves
     if not moved.any():
         return u
+    return _assemble(grid, val)
+
+
+def _assemble(grid: np.ndarray, val: np.ndarray) -> StepFunction:
+    """The polarized function from one row of _mirrored_cells: its grid
+    and the values on its cells, zero-width cells included."""
     # each start of a cell of positive width, and the grid's end
     kept = _run_edges(grid)[1:]
     return StepFunction._from_canonical(
@@ -215,17 +221,20 @@ _PASS_CELLS = 1 << 12
 
 
 def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray):
-    """The entries (outer step, position, index) of entries, in order,
-    whose halfspace h polarize(u, h) may not return u for.  An entry's
-    index is h's row in the columns nu (the signs) and c (the boundary
-    points): h = {x : nu*x <= nu*c}.
+    """The entries (outer step, position, index, state) of entries, in
+    order, whose halfspace h polarize(u, h) may not return u for, each
+    with polarize(u, h) as its state.  An entry's index is h's row in the
+    columns nu (the signs) and c (the boundary points): h = {x : nu*x <=
+    nu*c}; the state an entry comes with is ignored.
 
     Decides chunks of entries that double from eight, one numpy pass each
     through polarize's own kernel, _mirrored_cells, as polarize does: a
-    halfspace moves u when some cell moves.  A chunk holds at most
-    _PASS_CELLS // len(breakpoints) halfspaces, and at least one.  A
-    halfspace that mirrors the support beyond the float range counts as a
-    mover, so that polarize decides it and raises where it must."""
+    halfspace moves u when some cell moves, and its row of the pass gives
+    the new state, assembled only when the entry is yielded.  A chunk
+    holds at most _PASS_CELLS // len(breakpoints) halfspaces, and at
+    least one.  A halfspace that mirrors the support beyond the float
+    range is yielded with state None, so that polarize decides it and
+    raises where it must."""
     if u.is_zero:
         return
     b = u.breakpoints
@@ -235,17 +244,22 @@ def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray):
     size = min(8, cap)
     entries = iter(entries)
     while chunk := list(islice(entries, size)):
-        ks = [k for _, _, k in chunk]
+        ks = [k for _, _, k, _ in chunk]
         nus = nu[ks][:, None]
         cs = c[ks][:, None]
-        escape = False
+        escaping = []   # the rows whose mirror images escape
         if _escapes(b0, b1, float(cs.min()), float(cs.max())):
-            escape = np.array([_escapes(b0, b1, x, x)
-                               for x in cs[:, 0].tolist()])
+            escaping = [i for i, x in enumerate(cs[:, 0].tolist())
+                        if _escapes(b0, b1, x, x)]
             # c = 0 there keeps the kernel's arithmetic finite
-            cs = np.where(escape[:, None], 0.0, cs)
-        moves = _mirrored_cells(b, padded, nus, cs)[2].any(axis=1) | escape
-        yield from compress(chunk, moves.tolist())
+            cs[escaping] = 0.0
+        grid, val, moved = _mirrored_cells(b, padded, nus, cs)
+        moves = moved.any(axis=1)
+        moves[escaping] = True
+        for i in moves.nonzero()[0].tolist():
+            m, q, k, _ = chunk[i]
+            yield m, q, k, (None if i in escaping
+                            else _assemble(grid[i], val[i]))
         size = min(2 * size, cap)
 
 

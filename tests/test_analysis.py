@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rearrange_lab import generators
 from rearrange_lab.analysis import (
@@ -16,7 +17,7 @@ from rearrange_lab.analysis import (
     weighted_mass,
 )
 from rearrange_lab.halfspace import Halfspace, Schedule
-from rearrange_lab.series import ConvergenceSeries
+from rearrange_lab.series import ConvergenceSeries, finite_result
 from rearrange_lab.step1d import StepFunction, lp_norm, polarize, rearrange
 
 
@@ -57,6 +58,42 @@ class TestRadialWeight:
             RadialWeight.parse("boxcar")
 
 
+def per_breakpoint_mass(u, w):
+    """weighted_mass by one RadialWeight.antiderivative call per
+    breakpoint, summed over Python floats."""
+    f = [w.antiderivative(x) for x in u.breakpoints.tolist()]
+    return finite_result(lambda: math.fsum(
+        v * (hi - lo) for v, lo, hi in zip(u.values.tolist(), f, f[1:])),
+        "weighted mass")
+
+
+def outcome(mass, u, w):
+    """mass(u, w) as its exact bits (the sign of zero included), or its
+    ValueError."""
+    try:
+        return mass(u, w).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Signed zeros, subnormals, dyadics, near the float max, inside and
+# around a moderate radius, and any finite.
+POINT = st.one_of(
+    st.integers(-64, 64).map(lambda k: k / 8),
+    st.floats(-40.0, 40.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e154, 1e200,
+                     -1e200, 1e308, -1e308, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+VALUE = st.one_of(st.integers(0, 3).map(float),
+                  st.sampled_from([5e-324, 1e300, 1e308, 1.7e308]),
+                  st.floats(0, 1.7e308))
+WEIGHT = st.one_of(
+    st.just(RadialWeight.gaussian()),
+    st.builds(RadialWeight.triangular, st.one_of(
+        st.sampled_from([16.0, 4.0, 5e-324, 1e154, 1e200, 1.7e308]),
+        st.floats(0.5, 32.0), st.floats(5e-324, 1.7e308))))
+
+
 class TestWeightedMass:
     def test_triangular_exact(self):
         # 1 on [1,2) against max(0, 4-|x|): integral = 4 - 3/2
@@ -70,6 +107,24 @@ class TestWeightedMass:
 
     def test_zero(self):
         assert weighted_mass(StepFunction.zero(), RadialWeight.gaussian()) == 0.0
+
+    @given(st.lists(POINT, min_size=2, max_size=8, unique=True),
+           st.lists(VALUE, min_size=7, max_size=7), WEIGHT)
+    @example([0.0, 1.0], [1e308] * 7, RadialWeight.triangular(16.0))
+    @example([-0.0, 5e-324, 1.0], [1.0] * 7, RadialWeight.triangular(1e200))
+    @example([-1e308, 0.0, 5e307], [1.0] * 7, RadialWeight.triangular(1.7e308))
+    @example([-2.0, 0.0, 2.0], [1.0] * 7, RadialWeight.triangular(1.7e308))
+    @example([-3.0, -0.0, 2.0], [1.0, 2.0] * 4, RadialWeight.gaussian())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_per_breakpoint_formula(self, points, values, w):
+        """Bit for bit, or the same ValueError, as one antiderivative call
+        per breakpoint and a sum over Python floats."""
+        b = sorted(points)
+        assume(all(x < y for x, y in zip(b, b[1:])))
+        assume(math.isfinite(b[-1] - b[0]))
+        u = StepFunction(b, values[:len(b) - 1])
+        assert outcome(weighted_mass, u, w) == outcome(per_breakpoint_mass,
+                                                       u, w)
 
 
 class TestGaps:

@@ -512,6 +512,25 @@ class TestNumericOptions:
             assert capsys.readouterr().err == "error: eps must be positive\n"
             assert not out.exists()
 
+    def test_converge_n_max_beyond_the_limit_is_exit_2(
+            self, step_file, lattice_file, grid_file, tmp_path, capsys,
+            monkeypatch):
+        # Refused before a schedule, a site list or a record is built: each
+        # grows with n_max, so the builders fail this test if they run.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built before the --n-max check")
+
+        monkeypatch.setattr(cli, "Schedule", forbidden)
+        for name, engine in list(cli.ENGINES.items()):
+            monkeypatch.setitem(cli.ENGINES, name, (*engine[:-1], forbidden))
+        out = tmp_path / "s.csv"
+        for src in (step_file, lattice_file, grid_file):
+            assert main(["converge", "--input", str(src), "--output",
+                         str(out), "--n-max", str(10**6 + 1)]) == 2
+            assert capsys.readouterr().err == (
+                "error: --n-max must be at most 1000000\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("engine", ["lattice_file", "grid_file"])
     @pytest.mark.parametrize("p, code", [("0", 2), ("-1", 2), ("0.5", 0)])
     def test_p_must_be_positive_on_lattice_and_grid(self, request, tmp_path,

@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rearrange_lab import analysis, generators, grid2d, step1d
 from rearrange_lab.analysis import (
@@ -56,7 +57,7 @@ from rearrange_lab.step1d import (
     rearrange,
     sup_distance,
 )
-from test_step1d import columns
+from test_step1d import HALFSPACE, columns, decision_states
 
 SEEDS = (3, 17, 29, 101)
 CLI_GRID_STEPS = [Axis.X, Axis.Y,
@@ -205,8 +206,9 @@ def test_grid_fit_error_still_raised():
 
 
 def test_memo_skips_polarizations(monkeypatch):
-    """A run that never converges exactly applies far fewer than the
-    n(n+1)/2 polarizations of the naive loop."""
+    """A run that never converges exactly computes far fewer than the
+    n(n+1)/2 polarizations of the naive loop: a polarize call or a state
+    assembled from a row of the look-ahead pass each count as one."""
     u = generators.random_step_function(random.Random(11), span=1.0)
     calls = []
 
@@ -214,10 +216,17 @@ def test_memo_skips_polarizations(monkeypatch):
         calls.append(h)
         return polarize(state, h)
 
+    assemble = step1d._assemble
+
+    def counting_assemble(grid, val):
+        calls.append(grid)
+        return assemble(grid, val)
+
     monkeypatch.setattr(analysis, "polarize", counting)
+    monkeypatch.setattr(step1d, "_assemble", counting_assemble)
     series = converge_restricted(u, rho=0.1, n_max=100)
     assert series.final.lp_error > 0   # the state never reached u*
-    assert len(calls) < 100 * 101 // 2 // 4
+    assert 0 < len(calls) < 100 * 101 // 2 // 4
 
 
 class Counter:
@@ -268,6 +277,16 @@ def movers_of(steps):
     return lambda u, upcoming: _movers(u, upcoming, nu, c)
 
 
+def adopting(movers, log):
+    """movers, logging each state the driver asks it about.  The driver
+    asks once for the start and then once for each state it adopts,
+    whether movers or apply gave that state."""
+    def logged(state, upcoming):
+        log.append(step1d.dumps(state))
+        return movers(state, upcoming)
+    return logged
+
+
 def changes(apply, log):
     """apply, logging each new state it returns."""
     def logged(state, step):
@@ -299,11 +318,12 @@ def test_short_step_list_matches_naive_loop(seed, reverse, size):
     want_log, plain_log, got_log = [], [], []
     want = naive_scheme(u, steps, 12, changes(polarize, want_log), record,
                         target, reverse)
-    for movers, log in ((None, plain_log), (movers_of(steps), got_log)):
-        got = _triangular_scheme(u, steps, 12, changes(polarize, log), record,
-                                 target, reverse, movers=movers)
-        assert got.dumps() == want.dumps()
-        assert log == want_log
+    plain = _triangular_scheme(u, steps, 12, changes(polarize, plain_log),
+                               record, target, reverse)
+    got = _triangular_scheme(u, steps, 12, polarize, record, target, reverse,
+                             movers=adopting(movers_of(steps), got_log))
+    assert plain.dumps() == got.dumps() == want.dumps()
+    assert plain_log == got_log[1:] == want_log
 
 
 def test_error_raised_after_the_same_changes():
@@ -319,9 +339,41 @@ def test_error_raised_after_the_same_changes():
     with pytest.raises(ValueError, match="beyond the float range"):
         naive_scheme(u, steps, 8, changes(polarize, want_log), record)
     with pytest.raises(ValueError, match="beyond the float range"):
-        _triangular_scheme(u, steps, 8, changes(polarize, got_log), record,
-                           movers=movers_of(steps))
-    assert got_log == want_log != []
+        _triangular_scheme(u, steps, 8, polarize, record,
+                           movers=adopting(movers_of(steps), got_log))
+    assert got_log[1:] == want_log != []
+
+
+@given(decision_states(), st.lists(HALFSPACE, min_size=1, max_size=6),
+       st.booleans())
+@example(StepFunction([0, 1, 2], [1.0, 2.0]),
+         [Halfspace.line(-1, 0.5), Halfspace.line(1, -0.0),
+          Halfspace.line(1, -1e308)], False)
+@example(StepFunction([1e308, 1.25e308, 1.7e308], [1.0, 2.0]),
+         [Halfspace.line(1, 8.5e307), Halfspace.line(1, -1e308)], True)
+@settings(max_examples=150, deadline=None)
+def test_adopted_states_and_errors_match_naive_loop(u, steps, reverse):
+    """Through the filter the driver adopts the naive loop's states, to
+    the sign of each zero, and raises the naive loop's ValueError after
+    the same state changes where a mirror image escapes."""
+
+    def record(n, state, previous):
+        return ConvergenceRecord(n, float(state.piece_count), 0.0, 0.0, 0.0)
+
+    def outcome(run):
+        try:
+            return run().dumps()
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    want_log, got_log = [], []
+    want = outcome(lambda: naive_scheme(
+        u, steps, 8, changes(polarize, want_log), record, reverse=reverse))
+    got = outcome(lambda: _triangular_scheme(
+        u, steps, 8, polarize, record, reverse=reverse,
+        movers=adopting(movers_of(steps), got_log)))
+    assert got == want
+    assert got_log[1:] == want_log
 
 
 class Residue:
@@ -354,27 +406,44 @@ def test_target_reached_before_the_end_of_a_step(reverse, goal):
 
 
 def test_polarize_runs_once_per_state_change(monkeypatch):
-    """On a stalled draw of the benchmark's kind, every call of
-    analysis.polarize changes the state: the batched decision rules out
-    the no-ops before polarize sees them."""
+    """On a stalled draw of the benchmark's kind, each state change
+    assembles one row of the look-ahead pass, and that row's state is the
+    one the driver adopts; polarize itself never runs, as no entry mirrors
+    the support beyond the float range."""
     u = generators.random_step_function(random.Random(11), span=1.0)
-    changed = []
+    assembled, asked, calls = [], [], []
+    assemble = step1d._assemble
 
-    def counting(state, h):
-        out = polarize(state, h)
-        changed.append(out is not state)
-        return out
+    def counting_assemble(grid, val):
+        assembled.append(assemble(grid, val))
+        return assembled[-1]
 
-    monkeypatch.setattr(analysis, "polarize", counting)
+    def asking(state, entries, nu, c):
+        asked.append(state)
+        return _movers(state, entries, nu, c)
+
+    def counting_polarize(state, h):
+        calls.append(h)
+        return polarize(state, h)
+
+    monkeypatch.setattr(step1d, "_assemble", counting_assemble)
+    monkeypatch.setattr(analysis, "_movers", asking)
+    monkeypatch.setattr(analysis, "polarize", counting_polarize)
     series = converge_restricted(u, rho=0.1, n_max=200)
     assert series.final.lp_error > 0   # the state never reached u*
-    assert changed and all(changed)
+    assert calls == []
+    adopted = asked[1:]   # the driver asks for the start, then per state
+    assert assembled and len(assembled) == len(adopted)
+    assert all(a is b for a, b in zip(assembled, adopted))
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 def test_halfspaces_built_only_for_polarize(monkeypatch, order):
     """converge_scheme reads the schedule as columns and builds a Halfspace
-    only for an entry that reaches polarize."""
+    only for an entry that reaches polarize: one whose mirror image of the
+    support escapes the float range.  The schedule's offsets on these
+    draws are far from that, so no Halfspace is built at all; the driver
+    tests above reach polarize through escaping entries."""
     built, calls = [], []
     post_init = Halfspace.__post_init__
 
@@ -392,7 +461,7 @@ def test_halfspaces_built_only_for_polarize(monkeypatch, order):
     for _ in range(4):
         u = generators.random_step_function(rng, span=1.0)
         converge_restricted(u, rho=0.1, n_max=200, order=order)
-    assert calls and len(built) <= len(calls)
+    assert built == calls == []
 
 
 # -- the no-op contract the memo relies on -----------------------------------
@@ -428,13 +497,20 @@ def test_step_functions_return_their_input_on_a_no_op():
 # -- invariant checks survive record reuse -----------------------------------
 
 
-def _shift_right(state, h):
+def _shift_right(state):
     """Changes the state and moves it away from 0, lowering its mass."""
     return StepFunction(state.breakpoints + 4.0, state.values)
 
 
+def _shifting_movers(state, entries, nu, c):
+    """_movers, with _shift_right(state) as the state of each entry: the
+    look-ahead pass is where the 1-D scheme takes its new states from."""
+    for m, q, k, _ in _movers(state, entries, nu, c):
+        yield m, q, k, _shift_right(state)
+
+
 def test_mass_decrease_raises(monkeypatch):
-    monkeypatch.setattr(analysis, "polarize", _shift_right)
+    monkeypatch.setattr(analysis, "_movers", _shifting_movers)
     with pytest.raises(InvariantViolation, match="weighted mass decreased"):
         converge_scheme(StepFunction.indicator(0, 1), n_max=5)
 
@@ -443,7 +519,7 @@ def test_cli_converge_exits_4_on_invariant_violation(monkeypatch, tmp_path):
     src = tmp_path / "u.csv"
     out = tmp_path / "series.csv"
     step1d.write_csv(StepFunction.indicator(0, 1), src)
-    monkeypatch.setattr(analysis, "polarize", _shift_right)
+    monkeypatch.setattr(analysis, "_movers", _shifting_movers)
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5"]) == 4
     assert not out.exists()

@@ -187,8 +187,14 @@ def columns(halfspaces):
 
 def movers(u, halfspaces):
     """The positions in halfspaces that _movers yields on u."""
-    entries = [(1, 0, k) for k in range(len(halfspaces))]
-    return [k for _, _, k in _movers(u, entries, *columns(halfspaces))]
+    return [k for _, _, k, _ in moving_states(u, halfspaces)]
+
+
+def moving_states(u, halfspaces):
+    """The entries (outer step, position, index, state) that _movers
+    yields on u, for entries at the positions in halfspaces."""
+    entries = [(1, 0, k, None) for k in range(len(halfspaces))]
+    return list(_movers(u, entries, *columns(halfspaces)))
 
 
 def first_mover(u, halfspaces):
@@ -309,6 +315,38 @@ class TestFirstMover:
         halfspaces = Schedule(1, rho=1.0).first(40)
         assert movers(u, halfspaces) == scalar_movers(u, halfspaces)
         assert rows and max(rows) <= cap
+
+    @given(decision_states(), st.lists(HALFSPACE, max_size=40))
+    @example(StepFunction([-0.0, 5e-324, 0.5], [1.0, 3.0]),
+             [Halfspace.line(1, 0.0), Halfspace.line(-1, 0.0),
+              Halfspace.line(1, -0.0), Halfspace.line(-1, 5e-324),
+              Halfspace.line(1, -5e-324), Halfspace.line(1, 0.25)])
+    @example(StepFunction([1e308, 1.25e308, 1.7e308], [1.0, 2.0]),
+             [Halfspace.line(1, 8.5e307), Halfspace.line(-1, -8.5e307),
+              Halfspace.line(1, -1e308), Halfspace.line(-1, 0.0)])
+    @example(StepFunction([-1e-20, 0.0, 5e-324], [2.0, 1.0]),
+             [Halfspace.line(1, -1e308), Halfspace.line(-1, 0.0),
+              Halfspace.line(1, 1e308), Halfspace.line(1, 0.0)])
+    @settings(max_examples=400, deadline=None)
+    def test_states_are_polarize_bit_for_bit(self, u, halfspaces):
+        """Each state _movers yields is polarize's result, to the sign of
+        each zero; it yields None only where a mirror image escapes, and
+        there polarize returns u or raises."""
+        for _, _, k, state in moving_states(u, halfspaces):
+            h = halfspaces[k]
+            if state is None:
+                c2 = 2.0 * h.normal[0] * h.offset
+                b0, b1 = u.breakpoints[[0, -1]].tolist()
+                assert math.isinf(c2 - b0) or math.isinf(c2 - b1)
+                try:
+                    assert polarize(u, h) is u
+                except ValueError as exc:
+                    assert "beyond the float range" in str(exc)
+            else:
+                want = polarize(u, h)
+                assert want is not u
+                assert state.breakpoints.tobytes() == want.breakpoints.tobytes()
+                assert state.values.tobytes() == want.values.tobytes()
 
     def test_zero_state_yields_nothing(self):
         halfspaces = [*Schedule(1, rho=0.1).first(20),
