@@ -101,7 +101,10 @@ def cmd_rearrange(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    if args.n_max > N_MAX_LIMIT:   # before anything grows with it
+    # before anything that grows with n_max is built, on every engine
+    if args.n_max < 1:
+        raise ParseError("--n-max must be >= 1")
+    if args.n_max > N_MAX_LIMIT:
         raise ParseError(f"--n-max must be at most {N_MAX_LIMIT}")
     # --weight, --rho and --eps are checked on every engine, though only
     # step1d reads the first two.
@@ -244,7 +247,7 @@ def _build_parser():
     p.add_argument("--rho", type=float, default=1.0,
                    help="schedule offset bound")
     p.add_argument("--n-max", type=int, default=60,
-                   help=f"outer steps, at most {N_MAX_LIMIT}")
+                   help=f"outer steps, 1 to {N_MAX_LIMIT}")
     p.add_argument("--eps", type=finite, default=0.01,
                    help="level for the deviation-measure column")
     p.add_argument("--weight", default="triangular:16",

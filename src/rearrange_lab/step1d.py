@@ -143,25 +143,28 @@ def _mirrored_cells(b: np.ndarray, padded: np.ndarray, nu, c):
     nu and c give the halfspace {x : nu*x <= nu*c}, whose boundary point c
     mirrors x to 2c - x: scalars for one halfspace, or columns of shape
     (k, 1) for a chunk of k, one grid per row.  u(x) is padded[count of
-    breakpoints <= x], 0 outside the support.  Each cell is read at its
-    midpoint 0.5*lo + 0.5*hi (lo + hi may overflow) and at the midpoint's
-    mirror image; the larger value goes to the h side.  The sort is stable
-    over (mirror images, breakpoints), so a mirror image equal to a
-    breakpoint closes a zero-width cell and the next cell starts at u's own
-    breakpoint."""
-    c2 = 2.0 * c
-    mirrors = c2 - b
+    breakpoints <= x], 0 outside the support.  u is read once, at each
+    cell's left end, and each cell's mirror by index, at no midpoint: in
+    exact arithmetic the grid of N = 2*len(b) points is symmetric about c,
+    so cell k mirrors to cell N - 2 - k.  The cells k < len(b) - 1 lie
+    below c, those past the middle one above it, and the middle one
+    mirrors to itself; the larger of a cell's value and its mirror's goes
+    to the h side.  The sort is stable over (mirror images, breakpoints),
+    so a mirror image equal to a breakpoint closes a zero-width cell and
+    the next cell starts at u's own breakpoint; the zero-width cells mirror
+    to each other too.  Where images round, the float order is the exact
+    one unless a cell rounds to zero width."""
+    mirrors = 2.0 * c - b
     grid = np.empty((*mirrors.shape[:-1], 2 * b.size))
     grid[..., :b.size] = mirrors
     grid[..., b.size:] = b
     grid.sort(kind="stable")
     lo, hi = grid[..., :-1], grid[..., 1:]
-    mid = 0.5 * lo + 0.5 * hi
-    a = padded[b.searchsorted(mid, side="right")]
-    r = padded[b.searchsorted(c2 - mid, side="right")]
-    in_h = nu * mid <= nu * c
+    a = padded[b.searchsorted(lo, side="right")]
+    r = a[..., ::-1]
+    in_h = (np.arange(2 * b.size - 1) < b.size - 1) == (nu > 0)
     val = np.where(in_h == (a >= r), a, r)
-    moved = (val != padded[b.searchsorted(lo, side="right")]) & (hi > lo)
+    moved = (val != a) & (hi > lo)
     return grid, val, moved
 
 
@@ -181,10 +184,14 @@ def _escapes(b0: float, b1: float, c_min: float, c_max: float) -> bool:
 
 def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     """Two-point rearrangement of u across h: the larger of u(x), u(sigma(x))
-    goes to the h side, the smaller to the other side.  Exact on the grid of
-    u's breakpoints and their mirror images; equimeasurable with u.  Returns
-    u itself when nothing changes.  Raises ValueError when a mirror image is
-    beyond the float range and the support does not lie in h."""
+    goes to the h side, the smaller to the other side, cell by cell on the
+    grid of u's breakpoints and their mirror images, each cell's mirror read
+    by index (_mirrored_cells).  Exact where every mirror image is a double;
+    otherwise the exact result with each breakpoint rounded once to the
+    nearest double, unless that rounding collapses a cell to zero width,
+    where a piece can be lost.  Returns u itself when nothing changes.
+    Raises ValueError when a mirror image is beyond the float range and the
+    support does not lie in h."""
     if h.dimension != 1:
         raise ValueError("step functions are one-dimensional")
     if u.is_zero:

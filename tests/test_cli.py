@@ -531,6 +531,18 @@ class TestNumericOptions:
                 "error: --n-max must be at most 1000000\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("n_max", ["-5", "0"])
+    def test_converge_n_max_below_one_is_exit_2(
+            self, step_file, lattice_file, grid_file, tmp_path, capsys,
+            n_max):
+        # one message on every engine, not the schedule's count error
+        out = tmp_path / "s.csv"
+        for src in (step_file, lattice_file, grid_file):
+            assert main(["converge", "--input", str(src), "--output",
+                         str(out), "--n-max", n_max]) == 2
+            assert capsys.readouterr().err == "error: --n-max must be >= 1\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("engine", ["lattice_file", "grid_file"])
     @pytest.mark.parametrize("p, code", [("0", 2), ("-1", 2), ("0.5", 0)])
     def test_p_must_be_positive_on_lattice_and_grid(self, request, tmp_path,

@@ -224,9 +224,10 @@ POINT = st.one_of(st.integers(-64, 64).map(lambda k: k / 8), EXTREME,
 
 
 @st.composite
-def decision_states(draw):
-    """A generator input, or one on arbitrary points, as drawn, after a few
-    schedule steps, or rearranged, so that no-ops are common; or zero."""
+def decision_states(draw, points=POINT):
+    """A generator input, or one on points drawn from points, as drawn,
+    after a few schedule steps, or rearranged, so that no-ops are common;
+    or zero."""
     kind = draw(st.sampled_from(["generator", "points", "zero"]))
     if kind == "zero":
         return StepFunction.zero()
@@ -234,7 +235,8 @@ def decision_states(draw):
         u = generators.random_step_function(
             random.Random(draw(st.integers(0, 10**9))), span=1.0)
     else:
-        b = sorted(draw(st.lists(POINT, min_size=2, max_size=8, unique=True)))
+        b = sorted(draw(st.lists(points, min_size=2, max_size=8,
+                                 unique=True)))
         # unique keeps both zeros; the breakpoints must increase strictly
         assume(all(x < y for x, y in zip(b, b[1:])))
         assume(math.isfinite(b[-1] - b[0]))
@@ -426,7 +428,86 @@ def lookup_polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     return StepFunction._from_canonical(out_b, out_v)
 
 
+def exact_polarization(u: StepFunction, h: Halfspace):
+    """polarize(u, h) in Fraction arithmetic, assembled run by run as
+    lookup_polarize does: the exact grid of u's breakpoints and their mirror
+    images, and the result's canonical breakpoints (Fractions) and values.
+    Each cell is read at its left end and at its mirror's left end, and
+    placed by its exact midpoint."""
+    nu = h.normal[0]
+    c2 = 2 * Fraction(nu * h.offset)
+    b = [Fraction(x) for x in u.breakpoints.tolist()]
+    padded = [0.0, *u.values.tolist(), 0.0]
+    grid = sorted({*b, *(c2 - x for x in b)})
+    out_b, out_v = [], [0.0]
+    for lo, hi in zip(grid, grid[1:]):
+        a, r = padded[bisect_right(b, lo)], padded[bisect_right(b, c2 - hi)]
+        in_h = lo + hi <= c2 if nu > 0 else lo + hi >= c2
+        val = max(a, r) if in_h else min(a, r)
+        if val != out_v[-1]:
+            out_b.append(lo)
+            out_v.append(val)
+    if out_v[-1]:
+        out_b.append(grid[-1])
+        out_v.append(0.0)
+    return grid, out_b, out_v[1:-1]
+
+
+def oracle_polarize(u: StepFunction, h: Halfspace) -> StepFunction:
+    """The exact polarization with each breakpoint rounded once to the
+    nearest double; a piece whose ends round together is dropped."""
+    _, exact_b, values = exact_polarization(u, h)
+    b = [float(x) for x in exact_b]
+    kept = [i for i, v in enumerate(values) if b[i] < b[i + 1]]
+    return StepFunction(sorted(set(b)), [values[i] for i in kept])
+
+
+def rounding_case(grid) -> str:
+    """How the float kernel meets the exact grid of exact_polarization:
+    "exact" where every mirror image is a double, "rounded" where some
+    image rounds but no cell rounds to zero width, "collapsed" otherwise."""
+    points = [float(x) for x in grid]
+    if all(Fraction(x) == g for x, g in zip(points, grid)):
+        return "exact"
+    if all(x < y for x, y in zip(points, points[1:])):
+        return "rounded"
+    return "collapsed"
+
+
+def oracle_agrees(u: StepFunction, h: Halfspace, want: StepFunction) -> bool:
+    """Whether want is oracle_polarize's result, where no cell of the exact
+    grid collapses.  Where one does, the oracle is no reference: it drops
+    the collapsed piece, where polarize may keep u's measure instead."""
+    return (rounding_case(exact_polarization(u, h)[0]) != "collapsed"
+            and want == oracle_polarize(u, h))
+
+
+def escapes(u: StepFunction, h: Halfspace) -> bool:
+    """Whether a mirror image of u's support across h is beyond the float
+    range, so that polarize returns u or raises."""
+    b = u.breakpoints.tolist()
+    c2 = 2.0 * h.normal[0] * h.offset
+    return bool(b) and (math.isinf(c2 - b[0]) or math.isinf(c2 - b[-1]))
+
+
+def plain_bytes(u: StepFunction):
+    """The bytes of u's breakpoints and values, with -0.0 made 0.0."""
+    return (u.breakpoints + 0.0).tobytes(), (u.values + 0.0).tobytes()
+
+
+def is_canonical(u: StepFunction) -> bool:
+    """u passes validation and is already in canonical form."""
+    return (plain_bytes(StepFunction(u.breakpoints, u.values))
+            == plain_bytes(u))
+
+
 class TestKernelMatchesLookup:
+    """The same bytes as the lookup loop wherever the lookup gives the
+    oracle's result, or a mirror image escapes: ties, signed zeros, identity
+    and the errors.  Where the lookup reads a one- or two-step cell at a
+    midpoint rounded onto its end and loses a value, TestExactOracle checks
+    the kernel instead."""
+
     @given(decision_states(), HALFSPACE)
     @settings(max_examples=400, deadline=None)
     # +-0.0 breakpoints across boundary points -0.0 and 0.0: the sign of a
@@ -439,11 +520,6 @@ class TestKernelMatchesLookup:
              Halfspace.line(-1, 0.0))
     @example(StepFunction([-1.0, 0.0, 1.0], [2.0, 1.0]),
              Halfspace.line(-1, -0.0))
-    # one-ulp and subnormal cells that both drop, a known loss of data
-    @example(StepFunction([1.0, 1.0000000000000002, 1.0000000000000004],
-                          [2.0, 1.0]), Halfspace.line(1, -1))
-    @example(StepFunction([1.5e-323, 2e-323], [2.0]), Halfspace.line(1, 0))
-    @example(StepFunction([0, 5e-324], [2.0]), Halfspace.line(-1, -5e-324))
     # mirror images next to the float range's end, and beyond it
     @example(StepFunction([0.0, 1e300], [1.0]), Halfspace.line(1, -8.98e307))
     @example(StepFunction([-1e300, 0.0], [1.0]),
@@ -457,10 +533,72 @@ class TestKernelMatchesLookup:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 polarize(u, h)
             return
+        if not escapes(u, h) and not oracle_agrees(u, h, want):
+            return
         got = polarize(u, h)
         assert (got is u) == (want is u)
         assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
+
+
+# Points whose mirror images round: subnormals, one float step from 1.0,
+# and doubles in 2**49 .. 2**53, where the float step is 1/16 .. 1.
+ROUNDING = st.builds(
+    lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+    st.one_of(st.integers(1, 6).map(lambda k: k * 5e-324),
+              st.integers(-2, 2).map(lambda k: 1.0 + k * 2.0 ** -52),
+              st.floats(2.0 ** 49, 2.0 ** 53)))
+ORACLE_POINT = st.one_of(POINT, ROUNDING)
+
+
+class TestExactOracle:
+    """polarize against the exact polarization in Fraction arithmetic."""
+
+    @given(decision_states(ORACLE_POINT), st.one_of(
+        HALFSPACE, st.builds(Halfspace.line, st.sampled_from([1.0, -1.0]),
+                             ORACLE_POINT)))
+    @settings(max_examples=600, deadline=None)
+    # a cell collapses: the oracle drops its piece and loses measure, where
+    # polarize returns u
+    @example(StepFunction([-3.0, -1.0000000000000004, 1.0, 1.5, 2.0],
+                          [3.0, 0.0, 3.0, 1.0]),
+             Halfspace.line(1, -0.5000000000000001))
+    def test_matches_exact_polarization(self, u, h):
+        """Exact where every mirror image is a double, and the same object
+        exactly when nothing moves; the exact result rounded once where
+        images round and no cell collapses; otherwise valid and
+        canonical."""
+        if escapes(u, h):
+            return   # TestPolarize and TestKernelMatchesLookup check these
+        got = polarize(u, h)
+        case = rounding_case(exact_polarization(u, h)[0])
+        if case == "collapsed":
+            assert is_canonical(got)
+            return
+        want = oracle_polarize(u, h)
+        assert plain_bytes(got) == plain_bytes(want)
+        if case == "exact":
+            assert (got is u) == (want == u)
+
+    @pytest.mark.parametrize("u, h, want", [
+        # subnormal cells whose midpoints round onto an end
+        (StepFunction([1.5e-323, 2e-323], [2.0]), Halfspace.line(1, 0),
+         StepFunction([-2e-323, -1.5e-323], [2.0])),
+        (StepFunction([0, 5e-324], [2.0]), Halfspace.line(-1, -5e-324),
+         StepFunction([5e-324, 1e-323], [2.0])),
+        # an image beyond 2**53 rounds; no cell collapses
+        (StepFunction([0.0, 1.0], [1.0]),
+         Halfspace.line(1, -4503599627370497.0),
+         StepFunction([-9007199254740996.0, -9007199254740994.0], [1.0])),
+        # a one-step cell collapses, and value 2.0 with it
+        (StepFunction([1.0, 1.0000000000000002, 1.0000000000000004],
+                      [2.0, 1.0]), Halfspace.line(1, -1),
+         StepFunction([-3.0000000000000004, -3.0], [1.0])),
+    ])
+    def test_pinned_inputs(self, u, h, want):
+        got = polarize(u, h)
+        assert plain_bytes(got) == plain_bytes(want)
+        assert plain_bytes(oracle_polarize(u, h)) == plain_bytes(want)
 
 
 class TestRearrange:
