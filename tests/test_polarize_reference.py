@@ -7,11 +7,11 @@ so its output can repeat a breakpoint; its midpoint 0.5*(lo + hi) and its
 mirror images can overflow, which erases pieces.  polarize must always
 return a valid canonical function or raise ValueError for a mirror image
 beyond the float range.  Wherever the reference's output is valid and
-agrees with the exact oracle of test_step1d, and no breakpoint or mirror
-image is near overflow or subnormal, polarize must give the same bytes,
-and return u exactly when the reference does.  Where the reference reads
-a cell at a midpoint rounded onto its end and loses a value,
-test_step1d.TestExactOracle checks polarize instead.
+agrees with the exact oracle of test_step1d (oracle_agrees), and no
+breakpoint or mirror image is near overflow or subnormal, polarize must
+give the same bytes, and return u exactly when the reference does.  Where
+the reference reads a cell at a midpoint rounded onto its end and loses a
+value, test_step1d.TestExactOracle checks polarize instead.
 """
 
 import math
@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rearrange_lab.halfspace import Halfspace
 from rearrange_lab.step1d import StepFunction, polarize
-from test_step1d import oracle_agrees
+from test_step1d import is_canonical, oracle_agrees, state_bytes
 
 TINY = 5e-324
 HUGE = sys.float_info.max
@@ -99,18 +99,6 @@ def reference_polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     return StepFunction._from_canonical(out_b, out_v)
 
 
-def _bytes(u: StepFunction):
-    return u.breakpoints.tobytes(), u.values.tobytes()
-
-
-def _canonical(u: StepFunction) -> bool:
-    """u passes validation and is already in canonical form."""
-    try:
-        return _bytes(StepFunction(u.breakpoints, u.values)) == _bytes(u)
-    except ValueError:
-        return False
-
-
 def _moderate(x: float) -> bool:
     return x == 0.0 or 2.0 ** -1000 <= abs(x) <= 2.0 ** 1000
 
@@ -149,10 +137,10 @@ def test_matches_reference(u, sign, d):
     except ValueError:
         assert any(math.isinf(c2 - x) for x in b)
         return
-    assert _canonical(out)
+    assert is_canonical(out)
     want = reference_polarize(u, h)
-    if (_canonical(want) and all(_moderate(x) and _moderate(c2 - x)
-                                 for x in b)
-            and oracle_agrees(u, h, want)):
-        assert _bytes(out) == _bytes(want)
+    if (is_canonical(want) and all(_moderate(x) and _moderate(c2 - x)
+                                   for x in b)
+            and oracle_agrees(u, h, want, out)):
+        assert state_bytes(out) == state_bytes(want)
         assert (out is u) == (want is u)
