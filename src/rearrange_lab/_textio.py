@@ -21,9 +21,11 @@ Tables (the step1d, lattice, grid2d and convergence-series CSV files):
   in that order names the error.
 
 A table is handled a whole column at a time: the body is split once,
-each column is converted by one ``map``, and on write each distinct double
-of a table is formatted once (keyed by its bits, so ``-0.0`` and ``0.0``
-stay apart) and its text reused wherever the double repeats.
+each column is converted by one ``map``, and on write each distinct
+magnitude in a column (a 2-D body is one column) is formatted once, keyed
+by the bits of ``|x|``; its text is reused wherever the magnitude repeats,
+with a ``-`` before it where the sign bit is set (so ``-0.0`` and ``0.0``
+stay apart), except for NaN, which is ``nan`` for either sign.
 
 Keyed encodings (the CLI's ``--by``): ``key=value`` parts separated by
 commas, each key given once and converted by its own conversion.
@@ -46,15 +48,24 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+_MAGNITUDE = np.int64(2**63 - 1)   # every bit of a double but its sign
+
+
 def _texts(convert, values) -> list:
     """The fields of values in a column that convert reads back."""
     if convert is int:
         return list(map(str, values))
     a = np.asarray(values, dtype=float).ravel()
-    # Keyed by bit pattern: a float key would merge -0.0 with 0.0.
-    bits, where = np.unique(a.view(np.int64), return_inverse=True)
-    texts = list(map(format, bits.view(float).tolist(), repeat(".17g")))
-    return np.array(texts, dtype=object)[where].tolist()
+    bits = a.view(np.int64)
+    # Keyed by the bits of |x|, so x and -x share one format call: for
+    # every double but NaN, whose text is "nan" for either sign bit, the
+    # text of -x is "-" + the text of x (-0.0 and -inf included).
+    magnitudes, where = np.unique(bits & _MAGNITUDE, return_inverse=True)
+    texts = np.array(list(map(format, magnitudes.view(float).tolist(),
+                              repeat(".17g"))), dtype=object)[where]
+    negative = (bits < 0) & ~np.isnan(a)
+    texts[negative] = "-" + texts[negative]
+    return texts.tolist()
 
 
 def dumps(header, columns, body) -> str:

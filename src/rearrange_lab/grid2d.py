@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -215,7 +215,14 @@ def polarize_grid_exact(u: GridFunction, hp: LatticeHyperplane) -> GridFunction:
     """Pairwise polarization along a grid-preserving reflection: within each
     orbit {p, sigma(p)} the larger value goes to the H side.  Raises
     GridFitError if a positive value would have to leave the array."""
-    m = u.m
+    return _reflect(u, hp, _reflection(u.m, hp))
+
+
+def _reflection(m: int, hp: LatticeHyperplane):
+    """The reflection in hp on the [-m..m]^2 array, as flat arrays over its
+    cells: the flat index of each cell's mirror image (n*n, one past the
+    last cell, for an image off the array), whether the cell lies in H,
+    and whether a positive value there would escape the array."""
     # Past 2m+1 every cell is on one side and reflects off the array, as for
     # the original offset, whose round(2*s) may not fit numpy's int64.
     n = 2 * m + 1
@@ -224,12 +231,19 @@ def polarize_grid_exact(u: GridFunction, hp: LatticeHyperplane) -> GridFunction:
     RI, RJ = clamped.reflect_index(I, J)
     inside = (np.abs(RI) <= m) & (np.abs(RJ) <= m)
     in_h = clamped.contains_index(I, J)
-    if u.values[~(inside | in_h)].any():   # a positive value would escape
+    source = np.where(inside, (RJ + m) * n + (RI + m), n * n)
+    return source, in_h, ~(inside | in_h)
+
+
+def _reflect(u: GridFunction, hp: LatticeHyperplane, table) -> GridFunction:
+    """polarize_grid_exact(u, hp) by the table _reflection(u.m, hp)."""
+    source, in_h, escapes = table
+    if u.values[escapes].any():
+        n = 2 * u.m + 1
         raise GridFitError(
             f"support reflects outside the {n}x{n} array for {hp.encode()}")
     # Each cell reads its mirror image by flat index; an image off the
     # array reads the zero appended after the last cell.
-    source = np.where(inside, (RJ + m) * n + (RI + m), n * n)
     mirrored = np.append(u.values, 0.0)[source]
     new = np.where(in_h, np.maximum(u.values, mirrored),
                    np.minimum(u.values, mirrored))
@@ -366,10 +380,17 @@ def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
     if not steps:
         raise ValueError("need at least one step")
     target = rearrange_grid(u)
+    # Each hyperplane's reflection is built at its first polarization in
+    # this run and reused by the rest; the table goes with the run.
+    reflection = cache(partial(_reflection, u.m))
+
+    def apply(state, step):
+        if isinstance(step, Axis):
+            return steiner_rows(state, step)
+        return _reflect(state, step, reflection(step))
+
     return _triangular_scheme(
-        u, steps, n_max,
-        lambda state, step: (steiner_rows if isinstance(step, Axis)
-                             else polarize_grid_exact)(state, step),
+        u, steps, n_max, apply,
         lambda n, state, _: _grid_record(n, state, target, p, eps))
 
 

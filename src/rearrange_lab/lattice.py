@@ -33,7 +33,11 @@ def site_of_rank(r: int) -> int:
 
 def spiral_sites(count: int) -> list[int]:
     """First `count` sites in spiral order: 0, 1, -1, 2, -2, ..."""
-    return [site_of_rank(r) for r in range(count)]
+    n = max(operator.index(count), 0)
+    sites = [0] * n
+    sites[1::2] = range(1, n // 2 + 1)             # odd rank r: (r + 1) // 2
+    sites[2::2] = range(-1, -((n + 1) // 2), -1)   # even rank r: -(r // 2)
+    return sites
 
 
 class ConvergenceError(RuntimeError):
@@ -101,8 +105,8 @@ class LatticeFunction:
 def rearrange_lattice(u: LatticeFunction) -> LatticeFunction:
     """Spiral-order decreasing rearrangement: j-th largest value goes to the
     site of rank j-1."""
-    return LatticeFunction._checked(
-        {site_of_rank(r): v for r, v in enumerate(u.sorted_values())})
+    values = u.sorted_values()
+    return LatticeFunction._checked(dict(zip(spiral_sites(len(values)), values)))
 
 
 def polarize_involution(u: LatticeFunction, c: int) -> LatticeFunction:
@@ -182,9 +186,8 @@ def two_involution_scheme(u: LatticeFunction, max_sweeps: int | None = None):
         if a.tobytes() == fixed_bytes:
             if sweep == 1:
                 return u, 1
-            return LatticeFunction._checked(
-                {site_of_rank(r): v
-                 for r, v in enumerate(a[:len(values)].tolist())}), sweep
+            return LatticeFunction._checked(dict(zip(
+                spiral_sites(len(values)), a[:len(values)].tolist()))), sweep
         for lo, hi in phases:
             lo[...], hi[...] = np.maximum(lo, hi), np.minimum(lo, hi)
     raise ConvergenceError(f"no fixed point within {max_sweeps} sweeps")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rearrange_lab import grid2d, lattice, series, step1d
+from rearrange_lab import _textio, grid2d, lattice, series, step1d
 from rearrange_lab.errors import ParseError
 from rearrange_lab.grid2d import GridFunction
 from rearrange_lab.lattice import LatticeFunction
@@ -236,6 +236,9 @@ def _same_bytes(name, x):
 @given(u=step_functions())
 @example(u=StepFunction([-0.0, 1.0, 2.0], [1.0, 1.0000000000000002]))
 @example(u=StepFunction([-HUGE / 2, 0.0, HUGE / 2], [5e-324, HUGE]))
+# a rearrangement's breakpoints are +-x pairs
+@example(u=step1d.rearrange(StepFunction([-3.0, 0.1, 0.5, 2.75, 40.0],
+                                         [2.0, 1.0, 3.0, 0.25])))
 def test_step1d_dumps_matches_reference(u):
     _same_bytes("step1d", u)
 
@@ -264,3 +267,24 @@ def test_grid2d_dumps_matches_reference(u):
 def test_series_dumps_matches_reference(s):
     _same_bytes("series", s)
 
+
+# -- Every double formatted once per magnitude. ------------------------------
+
+SIGN = -2**63   # the sign bit, as an int64
+PINNED_BITS = [int(b) for b in np.array(
+    [0.0, 5e-324, HUGE, float("inf"), float("nan")]).view(np.int64)]
+
+
+@settings(deadline=None)
+@given(bits=st.lists(st.integers(-2**63, 2**63 - 1), max_size=16),
+       mirrored=st.booleans())
+@example(bits=PINNED_BITS, mirrored=True)   # +-0, +-5e-324, +-max, +-inf, +-nan
+@example(bits=[b ^ SIGN for b in PINNED_BITS], mirrored=False)
+def test_texts_format_each_double(bits, mirrored):
+    """_texts(float, a) formats a column as format(x, ".17g") does each x:
+    any 64-bit patterns, and columns holding x beside -x (the sign bit
+    flipped, NaN included)."""
+    if mirrored:
+        bits = [b for x in bits for b in (x, x ^ SIGN)]
+    a = np.array(bits, dtype=np.int64).view(float)
+    assert _textio._texts(float, a) == [format(x, ".17g") for x in a.tolist()]

@@ -484,7 +484,10 @@ class TestMixedSchedule:
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_eps_not_positive_rejected_before_any_polarization(
             self, monkeypatch, eps):
-        monkeypatch.setattr(grid2d, "polarize_grid_exact", None)
+        # The scheme builds a reflection table and applies it: neither may
+        # run, nor a whole polarization.
+        for name in ("polarize_grid_exact", "_reflection", "_reflect"):
+            monkeypatch.setattr(grid2d, name, None)
         g = GridFunction.from_points(2, 0.5, {(1, 0): 1.0})
         with pytest.raises(ValueError, match="^eps must be positive$"):
             mixed_schedule(g, [LatticeHyperplane(HyperplaneKind.X, 0.0)],

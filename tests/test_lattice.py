@@ -26,6 +26,10 @@ from rearrange_lab.lattice import (
 class TestSpiralOrder:
     def test_first_sites(self):
         assert spiral_sites(7) == [0, 1, -1, 2, -2, 3, -3]
+        assert spiral_sites(0) == []
+        sites = spiral_sites(1001)
+        assert sites == [site_of_rank(r) for r in range(1001)]
+        assert all(type(x) is int for x in sites)
 
     def test_rank_is_bijection(self):
         sites = range(-500, 501)

@@ -8,6 +8,7 @@ CSV bytes must agree exactly.
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -203,6 +204,64 @@ def test_grid_fit_error_still_raised():
         naive_grid(u, steps, 3, 1.0, 0.01)
     with pytest.raises(grid2d.GridFitError):
         mixed_schedule(u, steps, n_max=3)
+
+
+@st.composite
+def grid_schedules(draw):
+    """A small grid and a list of Steiner axes and grid hyperplanes of all
+    four kinds, whose offsets fall inside the array, on its edge or
+    beyond it."""
+    m = draw(st.integers(0, 3))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+                           min_size=(2 * m + 1) ** 2,
+                           max_size=(2 * m + 1) ** 2))
+    u = GridFunction(m, draw(st.sampled_from([0.5, 1.0])),
+                     np.reshape(values, (2 * m + 1, 2 * m + 1)))
+    reach = 2 * m + 2   # past the largest |i + j| on the array
+    far = st.sampled_from([-1e300, 1e300])
+    hyperplanes = st.one_of(
+        st.builds(LatticeHyperplane,
+                  st.sampled_from([HyperplaneKind.X, HyperplaneKind.Y]),
+                  st.one_of(st.integers(-2 * reach, 2 * reach).map(
+                      lambda k: k / 2), far)),
+        st.builds(LatticeHyperplane,
+                  st.sampled_from([HyperplaneKind.DIAG_UP,
+                                   HyperplaneKind.DIAG_DOWN]),
+                  st.one_of(st.integers(-reach, reach).map(float), far)))
+    steps = draw(st.lists(st.one_of(st.sampled_from(Axis), hyperplanes),
+                          min_size=1, max_size=6))
+    return u, steps
+
+
+def _grid_outcome(run, *args):
+    """The series bytes of run(*args), or its GridFitError with the hyperplane
+    and the state that raised it."""
+    raised = []
+    reflect = grid2d._reflect
+
+    def spy(state, hp, table):
+        try:
+            return reflect(state, hp, table)
+        except grid2d.GridFitError:
+            raised.append((hp, state.values.tobytes()))
+            raise
+
+    with mock.patch.object(grid2d, "_reflect", spy):
+        try:
+            return run(*args).dumps()
+        except grid2d.GridFitError as exc:
+            return str(exc), raised
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=grid_schedules(), n_max=st.integers(1, 10),
+       p=st.sampled_from([1.0, 2.0]))
+def test_grid_matches_naive_loop_on_drawn_steps(case, n_max, p):
+    u, steps = case
+    expected = _grid_outcome(naive_grid, u, steps, n_max, p, 0.5)
+    got = _grid_outcome(lambda: mixed_schedule(u, steps, n_max=n_max, p=p,
+                                               eps=0.5))
+    assert got == expected
 
 
 def test_memo_skips_polarizations(monkeypatch):
