@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .grid2d import GridFunction, HyperplaneKind, LatticeHyperplane
+from .grid2d import GridFunction, HyperplaneKind, LatticeHyperplane, _scale
 from .halfspace import Halfspace
 from .lattice import LatticeFunction
 from .step1d import StepFunction
@@ -85,11 +85,9 @@ def random_lattice_hyperplane(rng: random.Random, m: int = 6,
     :func:`random_grid_function` never escape the array."""
     while True:
         kind = rng.choice(list(HyperplaneKind))
+        g = _scale(kind)   # offsets are the multiples of 1/g
         bound = max(1, m // 4)
-        if kind in (HyperplaneKind.X, HyperplaneKind.Y):
-            s = rng.randint(-2 * bound, 2 * bound) / 2.0
-        else:
-            s = float(rng.randint(-bound, bound))
+        s = rng.randint(-g * bound, g * bound) / g
         hp = LatticeHyperplane(kind, s)
         if not require_origin or hp.contains_origin():
             return hp

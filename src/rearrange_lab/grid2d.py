@@ -49,12 +49,28 @@ class HyperplaneKind(Enum):
     DIAG_DOWN = "D"  # H = {i-j <= s},    reflection (i, j) -> (s+j, i-s)
 
 
+# Each kind's normal (a, b) in index units: H = {a*i + b*j <= s}.
+_NORMALS = {HyperplaneKind.X: (1, 0), HyperplaneKind.Y: (0, 1),
+            HyperplaneKind.DIAG_UP: (1, 1), HyperplaneKind.DIAG_DOWN: (1, -1)}
+
+
+def _scale(kind: HyperplaneKind) -> int:
+    """g = 2 / (a^2 + b^2) for the kind's normal (a, b): 2 on the axes and
+    1 on the diagonals.  Offsets are the multiples of 1/g."""
+    a, b = _NORMALS[kind]
+    return 2 // (a * a + b * b)
+
+
 @dataclass(frozen=True)
 class LatticeHyperplane:
-    """Grid-preserving reflection hyperplane in index units.
+    """Grid-preserving reflection hyperplane H = {a*i + b*j <= s} in index
+    units, with (a, b) the normal of its kind.
 
-    X/Y offsets are half-integers, diagonal offsets integers, so the induced
-    reflection maps integer index pairs to integer index pairs.
+    All four kinds follow one rule, the reflection in H:
+    (i, j) -> (i, j) - g*(a*i + b*j - s)*(a, b), g = 2 / (a^2 + b^2).  The
+    offset s is a multiple of 1/g (half-integers on the axes, integers on
+    the diagonals), so the reflection maps integer index pairs to integer
+    index pairs.
     """
 
     kind: HyperplaneKind
@@ -64,49 +80,32 @@ class LatticeHyperplane:
         object.__setattr__(self, "s", float(self.s))
         if not math.isfinite(self.s):
             raise ValueError(f"offset must be finite, got {self.s}")
-        if self.kind in (HyperplaneKind.X, HyperplaneKind.Y):
-            # is_integer, not round: 2*s overflows to inf near the float max.
-            if not (2 * self.s).is_integer():
-                raise ValueError("X/Y offsets must be half-integers")
-        else:
-            if not self.s.is_integer():
-                raise ValueError("diagonal offsets must be integers")
+        g = _scale(self.kind)
+        # is_integer, not round: 2*s overflows to inf near the float max.
+        if not (g * self.s).is_integer():
+            raise ValueError("X/Y offsets must be half-integers" if g == 2
+                             else "diagonal offsets must be integers")
 
     def reflect_index(self, i: int, j: int) -> tuple[int, int]:
         """Image of cell (i, j); elementwise on index arrays too."""
-        s2 = round(2 * self.s)
-        s1 = round(self.s)
-        if self.kind is HyperplaneKind.X:
-            return s2 - i, j
-        if self.kind is HyperplaneKind.Y:
-            return i, s2 - j
-        if self.kind is HyperplaneKind.DIAG_UP:
-            return s1 - j, s1 - i
-        return s1 + j, i - s1
+        a, b = _NORMALS[self.kind]
+        g = _scale(self.kind)
+        k = g * (a * i + b * j) - round(g * self.s)
+        return i - k * a, j - k * b
 
     def contains_index(self, i: int, j: int) -> bool:
         """Whether cell (i, j) lies in H; elementwise on index arrays too."""
-        if self.kind is HyperplaneKind.X:
-            return i <= self.s
-        if self.kind is HyperplaneKind.Y:
-            return j <= self.s
-        if self.kind is HyperplaneKind.DIAG_UP:
-            return i + j <= self.s
-        return i - j <= self.s
+        a, b = _NORMALS[self.kind]
+        return a * i + b * j <= self.s
 
     def contains_origin(self) -> bool:
         return self.contains_index(0, 0)
 
     def as_halfspace(self, h: float) -> Halfspace:
         """The same halfspace in physical coordinates (cell size h)."""
-        r = math.sqrt(0.5)
-        if self.kind is HyperplaneKind.X:
-            return Halfspace((1.0, 0.0), self.s * h)
-        if self.kind is HyperplaneKind.Y:
-            return Halfspace((0.0, 1.0), self.s * h)
-        if self.kind is HyperplaneKind.DIAG_UP:
-            return Halfspace((r, r), self.s * h * r)
-        return Halfspace((r, -r), self.s * h * r)
+        a, b = _NORMALS[self.kind]
+        r = math.sqrt(_scale(self.kind) / 2)   # 1 / |(a, b)|
+        return Halfspace((a * r, b * r), self.s * h * r)
 
     def encode(self) -> str:
         return f"dir={self.kind.value},s={format(self.s, '.17g')}"
@@ -224,7 +223,7 @@ def _reflection(m: int, hp: LatticeHyperplane):
     last cell, for an image off the array), whether the cell lies in H,
     and whether a positive value there would escape the array."""
     # Past 2m+1 every cell is on one side and reflects off the array, as for
-    # the original offset, whose round(2*s) may not fit numpy's int64.
+    # the original offset, whose round(g*s) may not fit numpy's int64.
     n = 2 * m + 1
     clamped = LatticeHyperplane(hp.kind, min(max(hp.s, -n), n))
     I, J = _index_grids(m)

@@ -134,23 +134,26 @@ def polarize_involution(u: LatticeFunction, c: int) -> LatticeFunction:
     return u if out is None else LatticeFunction._checked(out)
 
 
-def two_involution_scheme(u: LatticeFunction, max_sweeps: int | None = None):
+def two_involution_scheme(u: LatticeFunction):
     """Iterate the polarization pair (x -> -x, x -> 1 - x) to its common
     fixed point, which equals rearrange_lattice(u).
 
     Returns (fixed point, sweeps used), with u itself when the first sweep
-    moves nothing.  Raises ConvergenceError if the budget is exhausted.
+    moves nothing.
 
-    The default budget, ceil((R + 1) / 2) + 1 sweeps with R the largest
-    spiral rank in the support of u (R = 0 for the zero function), always
-    suffices.  In rank order, x -> -x pairs the positions (2k - 1, 2k) and
-    x -> 1 - x pairs (2k - 2, 2k - 1), k >= 1, and each polarization moves
-    the larger value of a pair to the lower rank.  A sweep is therefore two
-    phases of odd-even transposition sort into nonincreasing order.  Every
-    value sits at positions 0..R and a zero never passes a positive value,
-    so the sort acts on those R + 1 positions and finishes within R + 1
-    phases (Knuth, TAOCP vol. 3, 5.3.4), that is ceil((R + 1) / 2) sweeps,
-    after which one more sweep sees that nothing moves.
+    The budget is ceil((R + 1) / 2) + 1 = R // 2 + 2 sweeps, with R the
+    largest spiral rank in the support of u (R = 0 for the zero function).
+    It is derived, not a setting, because it always suffices and a single
+    positive site needs all of it.  In rank order, x -> -x pairs the
+    positions (2k - 1, 2k) and x -> 1 - x pairs (2k - 2, 2k - 1), k >= 1,
+    and each polarization moves the larger value of a pair to the lower
+    rank.  A sweep is therefore two phases of odd-even transposition sort
+    into nonincreasing order.  Every value sits at positions 0..R and a
+    zero never passes a positive value, so the sort acts on those R + 1
+    positions and finishes within R + 1 phases (Knuth, TAOCP vol. 3,
+    5.3.4), that is ceil((R + 1) / 2) sweeps, after which one more sweep
+    sees that nothing moves.  ConvergenceError after the budget would mean
+    a defect in this argument or in its code.
 
     The sweeps run on that sort: u is held in a zero-padded array indexed
     by spiral rank, of the least even length past R + 1, and each phase is
@@ -168,21 +171,13 @@ def two_involution_scheme(u: LatticeFunction, max_sweeps: int | None = None):
     values = u._values
     ranks = list(map(rank, values))
     top = max(ranks, default=0)
-    if max_sweeps is None:   # ceil((R + 1) / 2) + 1
-        max_sweeps = top // 2 + 2
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
-    # A phase moves a value by at most one rank, and the value at rank R
-    # must end below rank len(u): a budget short of that fails before the
-    # O(R) array is made.
-    if values and 2 * (max_sweeps - 1) < top - len(values) + 1:
-        raise ConvergenceError(f"no fixed point within {max_sweeps} sweeps")
+    budget = top // 2 + 2   # ceil((R + 1) / 2) + 1
     a = np.zeros((top + 3) // 2 * 2)
     a[ranks] = list(values.values())
     fixed_bytes = np.sort(a)[::-1].tobytes()
     # x -> -x pairs ranks (2k - 1, 2k); x -> 1 - x pairs (2k - 2, 2k - 1).
     phases = ((a[1:-1:2], a[2::2]), (a[0::2], a[1::2]))
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, budget + 1):
         if a.tobytes() == fixed_bytes:
             if sweep == 1:
                 return u, 1
@@ -190,7 +185,7 @@ def two_involution_scheme(u: LatticeFunction, max_sweeps: int | None = None):
                 spiral_sites(len(values)), a[:len(values)].tolist()))), sweep
         for lo, hi in phases:
             lo[...], hi[...] = np.maximum(lo, hi), np.minimum(lo, hi)
-    raise ConvergenceError(f"no fixed point within {max_sweeps} sweeps")
+    raise ConvergenceError(f"no fixed point within {budget} sweeps")
 
 
 def spiral_weighted_mass(u: LatticeFunction) -> float:

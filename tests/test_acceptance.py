@@ -117,7 +117,7 @@ def test_criterion_3_lattice_exactness():
         start = time.perf_counter()
         for _ in range(1000):
             u = generators.random_lattice_function(rng)
-            fixed, sweeps = two_involution_scheme(u, max_sweeps=10_000)
+            fixed, sweeps = two_involution_scheme(u)
             assert fixed == rearrange_lattice(u)
             assert fixed.sorted_values() == u.sorted_values()
         assert time.perf_counter() - start < 5.0

@@ -43,6 +43,20 @@ class TestLatticeHyperplane:
         with pytest.raises(ValueError):
             LatticeHyperplane(HyperplaneKind.DIAG_DOWN, 0.5)
 
+    def test_far_diagonal_reflects_without_overflow(self):
+        # A diagonal reflection needs round(s), not round(2*s), which
+        # overflows for an offset this far out.
+        for s in (1e308, -1e308):
+            far = int(s)
+            hp = LatticeHyperplane(HyperplaneKind.DIAG_UP, s)
+            assert hp.reflect_index(0, 0) == (far, far)
+            assert hp.reflect_index(far, far) == (0, 0)
+            assert hp.contains_index(0, 0) == (s > 0)
+            hp = LatticeHyperplane(HyperplaneKind.DIAG_DOWN, s)
+            assert hp.reflect_index(0, 0) == (far, -far)
+            assert hp.reflect_index(far, -far) == (0, 0)
+            assert hp.contains_index(0, 0) == (s > 0)
+
     def test_reflections_are_integer_involutions(self):
         rng = random.Random(1)
         for _ in range(300):
@@ -74,6 +88,68 @@ class TestLatticeHyperplane:
         nx, ny = h.normal
         assert 0.75 * nx + 3.0 * ny <= h.offset
         assert not 1.0 * nx + 0.0 * ny <= h.offset
+
+
+# Each kind's in-H test and reflection written out, as in the
+# HyperplaneKind comments, and each kind's physical halfspace as it was
+# built case by case: the one rule of LatticeHyperplane must agree with
+# them cell by cell and bit by bit.
+SPELLED_OUT = {
+    HyperplaneKind.X: lambda i, j, s: (i <= s, (2 * s - i, j)),
+    HyperplaneKind.Y: lambda i, j, s: (j <= s, (i, 2 * s - j)),
+    HyperplaneKind.DIAG_UP: lambda i, j, s: (i + j <= s, (s - j, s - i)),
+    HyperplaneKind.DIAG_DOWN: lambda i, j, s: (i - j <= s, (s + j, i - s)),
+}
+ROOT_HALF = math.sqrt(0.5)
+SPELLED_OUT_HALFSPACE = {
+    HyperplaneKind.X: lambda s, h: ((1.0, 0.0), s * h),
+    HyperplaneKind.Y: lambda s, h: ((0.0, 1.0), s * h),
+    HyperplaneKind.DIAG_UP: lambda s, h: ((ROOT_HALF, ROOT_HALF),
+                                          s * h * ROOT_HALF),
+    HyperplaneKind.DIAG_DOWN: lambda s, h: ((ROOT_HALF, -ROOT_HALF),
+                                            s * h * ROOT_HALF),
+}
+
+
+def offsets(kind: HyperplaneKind) -> list[float]:
+    """The valid offsets in [-6, 6]: half-integers on the axes, integers on
+    the diagonals."""
+    if kind in (HyperplaneKind.X, HyperplaneKind.Y):
+        return [k / 2 for k in range(-12, 13)]
+    return [float(k) for k in range(-6, 7)]
+
+
+class TestSpelledOut:
+    @pytest.mark.parametrize("kind", list(HyperplaneKind))
+    def test_reflection_and_side_per_cell(self, kind):
+        cells = range(-8, 9)
+        I, J = np.meshgrid(cells, cells, indexing="xy")
+        for s in offsets(kind):
+            hp = LatticeHyperplane(kind, s)
+            for i in cells:
+                for j in cells:
+                    in_h, image = SPELLED_OUT[kind](i, j, s)
+                    got = hp.reflect_index(i, j)
+                    assert got == image
+                    assert all(type(c) is int for c in got)
+                    assert hp.contains_index(i, j) == in_h
+            # the elementwise form _reflection uses
+            in_h, (ri, rj) = SPELLED_OUT[kind](I, J, s)
+            RI, RJ = hp.reflect_index(I, J)
+            assert RI.dtype.kind == RJ.dtype.kind == "i"
+            assert np.array_equal(RI, ri) and np.array_equal(RJ, rj)
+            assert np.array_equal(hp.contains_index(I, J), in_h)
+
+    @pytest.mark.parametrize("kind", list(HyperplaneKind))
+    def test_as_halfspace_bit_for_bit(self, kind):
+        for s in offsets(kind) + [0.0, -0.0]:
+            hp = LatticeHyperplane(kind, s)
+            for h in (0.5, 1, 0.3, 1e-300):
+                normal, offset = SPELLED_OUT_HALFSPACE[kind](s, h)
+                got = hp.as_halfspace(h)
+                # float.hex tells -0.0 from 0.0
+                assert [x.hex() for x in (*got.normal, got.offset)] == [
+                    x.hex() for x in (*normal, offset)]
 
 
 class TestGridFunction:
