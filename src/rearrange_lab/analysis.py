@@ -16,16 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import Halfspace, Schedule
-from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
-                     finite_result)
+from .series import (ConvergenceSeries, _triangular_scheme,
+                     check_scheme_parameters, finite_result, record)
 from .step1d import (
     StepFunction,
     _abs_diff,
-    _deviation,
-    _lp_pow,
     _merged_cells,
     _movers,
-    _sup,
     lp_distance_pow,
     lp_norm,
     lp_norm_pow,
@@ -165,9 +162,10 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     nu, d = schedule._columns(n_max)
     c = nu * d
     target = rearrange(u)
-    norm0 = lp_norm(u, p)
+    norm0 = lp_norm(u, p)   # ValueError unless p >= 1, before eps is checked
+    check_scheme_parameters(p, eps)
 
-    def record(n, current, previous):
+    def row(n, current, previous):
         mass = weighted_mass(current, weight)
         if previous is not None:
             if abs(lp_norm(current, p) - norm0) > INVARIANT_TOL:
@@ -176,21 +174,12 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
             if mass < previous.weighted_mass - INVARIANT_TOL:
                 raise InvariantViolation(
                     f"weighted mass decreased at outer step {n}")
-        # One merged-grid difference for the three distances, reduced as
-        # lp_distance, sup_distance and deviation_measure reduce it.
-        diff, widths = _abs_diff(current, target)
-        return ConvergenceRecord(
-            n=n,
-            lp_error=_lp_pow(diff, widths, p) ** (1.0 / p),
-            weighted_mass=mass,
-            sup_error=_sup(diff),
-            deviation_measure=_deviation(diff, widths, eps),
-        )
+        return record(n, *_abs_diff(current, target), 1.0, mass, p, eps)
 
     return _triangular_scheme(
         u, range(n_max), n_max,
         lambda state, k: polarize(state, Halfspace.line(nu[k], d[k])),
-        record, target=target, reverse=order == "reversed",
+        row, target=target, reverse=order == "reversed",
         movers=lambda state, upcoming: _movers(state, upcoming, nu, c))
 
 

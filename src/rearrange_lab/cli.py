@@ -3,7 +3,8 @@ schedule inspection.
 
 Exit codes: 0 success, 1 property-suite failure, 2 parse, usage or file error,
 3 geometry failure (grid reflection escapes the array), 4 invariant
-violation during a convergence run.
+violation during a convergence run; today only the 1-D scheme checks its
+invariants, so only a step-function run gives exit 4.
 """
 
 from __future__ import annotations
@@ -106,13 +107,11 @@ def cmd_converge(args) -> int:
         raise ParseError("--n-max must be >= 1")
     if args.n_max > N_MAX_LIMIT:
         raise ParseError(f"--n-max must be at most {N_MAX_LIMIT}")
-    # --weight, --rho and --eps are checked on every engine, though only
-    # step1d reads the first two.
+    # --weight and --rho are checked on every engine, though only step1d
+    # reads them; each scheme checks --p and --eps itself.
     (*_, converge), u = _load(args)
     weight = analysis.RadialWeight.parse(args.weight)
     schedule = Schedule(dimension=1, rho=args.rho)
-    if args.eps <= 0:
-        raise ValueError("eps must be positive")
     converge(u, args, weight, schedule).write_csv(args.output)
     return EXIT_OK
 

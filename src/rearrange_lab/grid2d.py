@@ -22,8 +22,8 @@ from . import _textio
 from .errors import ParseError
 from .halfspace import Halfspace
 from .lattice import spiral_sites
-from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
-                     finite_result)
+from .series import (ConvergenceSeries, _triangular_scheme,
+                     check_scheme_parameters, finite_result, record)
 
 _SNAP_TOL = 1e-9   # cells; interpolation snaps to centers this close
 
@@ -358,12 +358,9 @@ def grid_lp_distance(u: GridFunction, v: GridFunction, p: float) -> float:
     leaves the float range."""
     if u.m != v.m or u.h != v.h:
         raise ValueError("grids must share shape and cell size")
-    return _lp_error(np.abs(u.values - v.values), u.h * u.h, p)
-
-
-def _lp_error(diff: np.ndarray, cell: float, p: float) -> float:
-    return finite_result(
-        lambda: (math.fsum((diff ** p).ravel()) * cell) ** (1.0 / p), "L^p error")
+    diff = np.abs(u.values - v.values)
+    return finite_result(lambda: (math.fsum((diff ** p).ravel())
+                                  * (u.h * u.h)) ** (1.0 / p), "L^p error")
 
 
 def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
@@ -371,10 +368,7 @@ def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
     """Triangular scheme over a cyclic list of lattice hyperplanes and
     Steiner axes; records the distance to rearrange_grid(u) per outer step
     (row n=0 is the starting point)."""
-    if not p > 0:
-        raise ValueError("p must be > 0")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_scheme_parameters(p, eps)
     steps = list(steps)
     if not steps:
         raise ValueError("need at least one step")
@@ -388,21 +382,14 @@ def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
             return steiner_rows(state, step)
         return _reflect(state, step, reflection(step))
 
-    return _triangular_scheme(
-        u, steps, n_max, apply,
-        lambda n, state, _: _grid_record(n, state, target, p, eps))
+    def row(n, state, _):
+        # h*h as the unit, not in the widths: the sum of |d|^p is scaled
+        # once, as grid_lp_distance scales it
+        diff = np.abs(state.values - target.values).ravel()
+        return record(n, diff, np.ones(diff.size), state.h * state.h,
+                      gaussian_cell_mass(state), p, eps)
 
-
-def _grid_record(n, current, target, p, eps):
-    diff = np.abs(current.values - target.values)
-    cell = current.h * current.h
-    return ConvergenceRecord(
-        n=n,
-        lp_error=_lp_error(diff, cell, p),
-        weighted_mass=gaussian_cell_mass(current),
-        sup_error=float(diff.max()) if diff.size else 0.0,
-        deviation_measure=float(np.count_nonzero(diff > eps)) * cell,
-    )
+    return _triangular_scheme(u, steps, n_max, apply, row)
 
 
 # -- CSV format: first row "m,h"; then 2m+1 rows of 2m+1 values, row index

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _textio
-from .series import (ConvergenceRecord, ConvergenceSeries, _triangular_scheme,
-                     finite_result)
+from .series import (ConvergenceSeries, _triangular_scheme,
+                     check_scheme_parameters, finite_result, record)
 
 
 def rank(x: int) -> int:
@@ -202,30 +202,20 @@ def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
     """Triangular scheme on Z: at outer step n, polarize by the first n
     involution centers in order.  Records the distance to the spiral
     rearrangement of u; row n=0 is the starting point."""
-    if not p > 0:
-        raise ValueError("p must be > 0")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_scheme_parameters(p, eps)
     centers = list(centers)
     if len(centers) < n_max:
         raise ValueError("need at least n_max involution centers")
     target = rearrange_lattice(u)
-    return _triangular_scheme(
-        u, centers, n_max, polarize_involution,
-        lambda n, state, _: _lattice_record(n, state, target, p, eps), target)
 
+    def row(n, state, _):
+        sites = state._values.keys() | target._values.keys()
+        diff = np.array([abs(state.value(x) - target.value(x)) for x in sites])
+        return record(n, diff, np.ones(diff.size), 1.0,
+                      spiral_weighted_mass(state), p, eps)
 
-def _lattice_record(n, current, target, p, eps):
-    sites = current._values.keys() | target._values.keys()
-    diffs = [abs(current.value(x) - target.value(x)) for x in sites]
-    return ConvergenceRecord(
-        n=n,
-        lp_error=finite_result(lambda: math.fsum(d ** p for d in diffs) ** (1 / p),
-                               "L^p error") if diffs else 0.0,
-        weighted_mass=spiral_weighted_mass(current),
-        sup_error=max(diffs, default=0.0),
-        deviation_measure=float(sum(1 for d in diffs if d > eps)),
-    )
+    return _triangular_scheme(u, centers, n_max, polarize_involution, row,
+                              target)
 
 
 # -- CSV format: header "site,value"; one row per support site, ascending. --

@@ -1,5 +1,5 @@
-"""Per-iteration convergence records and the triangular-scheme driver
-shared by the three engines.
+"""Per-iteration convergence records, and what the three engines' schemes
+share: the parameter check, the row formula and the triangular driver.
 
 CSV layout: header ``n,lp_error,weighted_mass,sup_error,deviation_measure``,
 one row per recorded iteration (table rules in ``_textio``).
@@ -84,10 +84,35 @@ def finite_result(compute, what: str) -> float:
     raise ValueError(f"{what} overflows the float range")
 
 
-def _triangular_scheme(start, steps, n_max, apply, record, target=None,
+def check_scheme_parameters(p: float, eps: float) -> None:
+    """ValueError unless p > 0 and eps > 0; each scheme calls it before its
+    first polarization, the lattice and grid schemes before anything else."""
+    if not p > 0:
+        raise ValueError("p must be > 0")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+
+
+def record(n: int, diff, widths, unit: float, mass: float, p: float,
+           eps: float) -> ConvergenceRecord:
+    """The row of outer step n: diff is |state - target| on the cells, the
+    measure of cell k is widths[k] * unit, and mass is the state's weighted
+    mass.  ValueError when the L^p error leaves the float range."""
+    return ConvergenceRecord(
+        n=n,
+        lp_error=finite_result(lambda: (math.fsum(
+            (diff if p == 1 else diff ** p) * widths) * unit) ** (1.0 / p),
+            "L^p error"),
+        weighted_mass=mass,
+        sup_error=float(np.max(diff)) if diff.size else 0.0,
+        deviation_measure=math.fsum(widths[diff > eps]) * unit,
+    )
+
+
+def _triangular_scheme(start, steps, n_max, apply, row, target=None,
                        reverse=False, movers=None) -> ConvergenceSeries:
     """Triangular scheme: outer step n applies steps[k % len(steps)] for
-    k = 0 .. n-1 (n-1 .. 0 if reverse), then appends record(n, state,
+    k = 0 .. n-1 (n-1 .. 0 if reverse), then appends row(n, state,
     previous record).  Once an outer step ends on the state target, no
     step is applied.
 
@@ -105,7 +130,7 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
     record with the new n.  Both give the rows of the naive loop."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    records = [record(0, start, None)]
+    records = [row(0, start, None)]
     current = before = start
     done = target is not None and current == target
     n = 1   # the outer step under way
@@ -120,7 +145,7 @@ def _triangular_scheme(start, steps, n_max, apply, record, target=None,
                     n, r.lp_error, r.weighted_mass, r.sup_error,
                     r.deviation_measure))
             else:
-                records.append(record(n, current, records[-1]))
+                records.append(row(n, current, records[-1]))
                 before = current
                 done = target is not None and current == target
             n += 1

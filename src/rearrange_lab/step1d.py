@@ -372,10 +372,7 @@ def lp_distance_pow(u: StepFunction, v: StepFunction, p: float) -> float:
     when it leaves the float range."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _lp_pow(*_abs_diff(u, v), p)
-
-
-def _lp_pow(diff, widths, p: float) -> float:
+    diff, widths = _abs_diff(u, v)
     return finite_result(lambda: math.fsum(
         (diff if p == 1 else diff ** p) * widths), "L^p distance")
 
@@ -385,22 +382,16 @@ def lp_distance(u: StepFunction, v: StepFunction, p: float) -> float:
 
 
 def sup_distance(u: StepFunction, v: StepFunction) -> float:
-    return _sup(_abs_diff(u, v)[0])
-
-
-def _sup(diff) -> float:
+    diff = _abs_diff(u, v)[0]
     return float(np.max(diff)) if diff.size else 0.0
 
 
 def deviation_measure(u: StepFunction, v: StepFunction, eps: float) -> float:
     """Measure of {|u - v| > eps}, exact on the merged grid."""
-    return _deviation(*_abs_diff(u, v), eps)
-
-
-def _deviation(diff, widths, eps: float) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return float(math.fsum(widths[diff > eps]))
+    diff, widths = _abs_diff(u, v)
+    return math.fsum(widths[diff > eps])
 
 
 # -- CSV format: header "breakpoint,value"; row i < k holds b_{i-1},v_i;

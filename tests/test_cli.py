@@ -421,23 +421,30 @@ class TestConverge:
     # The 5x5 grid at h = 0.5 with 1e200 at (i, j) = (1, -1).
     GRID_1E200 = "2,0.5\n" + "0,0,0,0,0\n0,0,0,1e200,0\n" + "0,0,0,0,0\n" * 3
 
-    @pytest.mark.parametrize("text, args", [
-        ("site,value\n5,1e200\n", ["--p", "2"]),
-        ("site,value\n5,1e308\n6,1e308\n", ["--n-max", "3"]),
-        ("breakpoint,value\n3,1e200\n4,\n", ["--p", "2"]),
-        (GRID_1E200, ["--p", "2"]),
+    @pytest.mark.parametrize("text, args, what", [
+        ("site,value\n5,1e200\n", ["--p", "2"], "L^p error"),
+        ("site,value\n5,1e308\n6,1e308\n", ["--n-max", "3"], "L^p error"),
+        # |u|^2 overflows before the scheme starts
+        ("breakpoint,value\n3,1e200\n4,\n", ["--p", "2"], "L^p norm"),
+        # u's L^1 norm is finite, but its distance to u* on [-0.5, 0.5) is
+        # 3e308; the Gaussian weight keeps the mass finite
+        ("breakpoint,value\n10,1.5e308\n11,\n", ["--weight", "gaussian"],
+         "L^p error"),
+        (GRID_1E200, ["--p", "2"], "L^p error"),
         # Steiner symmetrization moves the second 1e308 to (1, 0), away
         # from its cell in the rearrangement: the L^1 sum is 2e308.
-        ("1,0.5\n0,0,0\n1e308,1e308,0\n0,0,0\n", []),
-    ], ids=["lattice-power", "lattice-sum", "step1d", "grid-power", "grid-sum"])
+        ("1,0.5\n0,0,0\n1e308,1e308,0\n0,0,0\n", [], "L^p error"),
+    ], ids=["lattice-power", "lattice-sum", "step1d", "step1d-record",
+            "grid-power", "grid-sum"])
     def test_lp_error_beyond_the_float_range_is_exit_2(self, tmp_path, capsys,
-                                                       text, args):
+                                                       text, args, what):
         src = tmp_path / "u.csv"
         out = tmp_path / "s.csv"
         src.write_text(text)
         assert main(["converge", "--input", str(src), "--output", str(out),
                      "--n-max", "2", *args]) == 2
-        assert "overflows the float range" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {what} overflows the float range\n")
         assert not out.exists()
 
     def test_bad_weight_is_exit_2(self, step_file, lattice_file, grid_file,

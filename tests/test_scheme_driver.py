@@ -37,6 +37,7 @@ from rearrange_lab.grid2d import (
 )
 from rearrange_lab.halfspace import Halfspace, Schedule
 from rearrange_lab.lattice import (
+    LatticeFunction,
     polarize_involution,
     rearrange_lattice,
     schedule_scheme_lattice,
@@ -107,14 +108,14 @@ def naive_lattice(u, centers, n_max, p, eps):
 
     def record(n, current):
         sites = set(current.support()) | set(target.support())
-        diffs = [abs(current.value(x) - target.value(x)) for x in sorted(sites)]
+        diffs = np.array([abs(current.value(x) - target.value(x))
+                          for x in sorted(sites)])
         return ConvergenceRecord(
             n=n,
-            lp_error=(math.fsum(d ** p for d in diffs) ** (1.0 / p)
-                      if diffs else 0.0),
+            lp_error=math.fsum(diffs ** p) ** (1.0 / p),
             weighted_mass=spiral_weighted_mass(current),
-            sup_error=max(diffs, default=0.0),
-            deviation_measure=float(sum(1 for d in diffs if d > eps)))
+            sup_error=float(diffs.max()) if diffs.size else 0.0,
+            deviation_measure=float(np.count_nonzero(diffs > eps)))
 
     records = [record(0, u)]
     current = u
@@ -179,22 +180,32 @@ def test_step1d_matches_naive_loop(seed, order, p, weight):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 1.5])
 def test_lattice_matches_naive_loop(seed, p):
-    u = generators.random_lattice_function(random.Random(seed))
+    rng = random.Random(seed)
+    u = generators.random_lattice_function(rng)
+    # At p = 1.5 the p-th powers of integer values are rounded too, but
+    # non-integer values also make the squares at p = 2 inexact.
+    uniform = LatticeFunction({x: 10.0 * (1.0 - rng.random())
+                               for x in u.support()})
     centers = spiral_sites(40)
-    expected = naive_lattice(u, centers, 40, p, 0.5)
-    got = schedule_scheme_lattice(u, centers, n_max=40, p=p, eps=0.5)
-    assert got.dumps() == expected.dumps()
+    for v in (u, uniform):
+        expected = naive_lattice(v, centers, 40, p, 0.5)
+        got = schedule_scheme_lattice(v, centers, n_max=40, p=p, eps=0.5)
+        assert got.dumps() == expected.dumps()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 1.5, 3.0])
 def test_grid_matches_naive_loop(seed, p):
     u = generators.random_grid_function(random.Random(seed))
-    expected = naive_grid(u, CLI_GRID_STEPS, 16, p, 0.01)
-    got = mixed_schedule(u, CLI_GRID_STEPS, n_max=16, p=p, eps=0.01)
-    assert got.dumps() == expected.dumps()
+    # At h = 0.3, unlike h = 0.5, the sum of |d|^p scaled once by h*h and
+    # the sum of the per-cell products |d|^p * h*h round differently.
+    for h in (0.5, 0.3):
+        v = GridFunction(u.m, h, u.values)
+        expected = naive_grid(v, CLI_GRID_STEPS, 16, p, 0.01)
+        got = mixed_schedule(v, CLI_GRID_STEPS, n_max=16, p=p, eps=0.01)
+        assert got.dumps() == expected.dumps()
 
 
 def test_grid_fit_error_still_raised():
