@@ -17,12 +17,15 @@ import numpy as np
 
 from .halfspace import Halfspace, Schedule
 from .series import (ConvergenceSeries, _triangular_scheme,
-                     check_scheme_parameters, finite_result, record)
+                     check_scheme_parameters, finite, finite_result, fsums,
+                     record)
 from .step1d import (
     StepFunction,
-    _abs_diff,
+    _abs_diffs,
+    _lp_norms_pow,
     _merged_cells,
     _movers,
+    _stack,
     lp_distance_pow,
     lp_norm,
     lp_norm_pow,
@@ -97,6 +100,20 @@ def weighted_mass(u: StepFunction, w: RadialWeight) -> float:
     return finite_result(lambda: math.fsum(terms.tolist()), "weighted mass")
 
 
+def _weighted_masses(stack, w: RadialWeight) -> list[float]:
+    """weighted_mass of each state of a step1d._stack, with the same
+    arithmetic over all their breakpoints at once; inf or nan where it
+    leaves the float range."""
+    b, v, _, v_offsets, ends = stack
+    with np.errstate(all="ignore"):
+        if w.radius is None:
+            f = np.array([w.antiderivative(x) for x in b.tolist()])
+        else:
+            r = np.minimum(np.abs(b), w.radius)
+            f = np.copysign(w.radius * r - 0.5 * r * r, b)
+        return fsums(v * (f[ends] - f[ends - 1]), v_offsets.tolist())
+
+
 def polarization_gap(u: StepFunction, h: Halfspace, w: RadialWeight) -> float:
     """weighted_mass(u^H) - weighted_mass(u); nonnegative whenever 0 in H,
     and (for offset > 0 with a strictly decreasing weight) zero iff u = u^H."""
@@ -147,6 +164,15 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     H_1 .. H_n (or the reversed order) to the previous state.  Once the
     state equals the rearrangement exactly it is invariant under every
     remaining halfspace and the loop short-circuits.
+
+    The driver asks for the rows of the new states in blocks.  A block's
+    inputs take a few numpy calls each, over all its states at once
+    (step1d._stack): the weighted masses, the L^p norms grouped by value
+    for the drift check, and |u_n - u*| with the cell widths on each
+    state's merged grid with u*.  Each row checks, in order, its weighted
+    mass and L^p norm against overflow, the L^p drift and the mass
+    decrease (InvariantViolation), and then its L^p error, so the first
+    failing row in n order raises.
     """
     if order not in ("forward", "reversed"):
         raise ValueError("order must be 'forward' or 'reversed'")
@@ -165,21 +191,32 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     norm0 = lp_norm(u, p)   # ValueError unless p >= 1, before eps is checked
     check_scheme_parameters(p, eps)
 
-    def row(n, current, previous):
-        mass = weighted_mass(current, weight)
-        if previous is not None:
-            if abs(lp_norm(current, p) - norm0) > INVARIANT_TOL:
-                raise InvariantViolation(
-                    f"L^{p} norm drifted at outer step {n}")
-            if mass < previous.weighted_mass - INVARIANT_TOL:
-                raise InvariantViolation(
-                    f"weighted mass decreased at outer step {n}")
-        return record(n, *_abs_diff(current, target), 1.0, mass, p, eps)
+    def rows(ns, states, previous):
+        stack = _stack(states)
+        return record(ns, *_abs_diffs(stack, target), 1.0,
+                      checked(ns, stack, previous), p, eps)
+
+    def checked(ns, stack, previous):
+        """Each state's weighted mass, after the checks of its row."""
+        before = previous.weighted_mass if previous else None
+        for n, mass, norm in zip(ns, _weighted_masses(stack, weight),
+                                 _lp_norms_pow(stack, p)):
+            finite(mass, "weighted mass")
+            if n:
+                finite(norm, "L^p norm")
+                if abs(norm ** (1.0 / p) - norm0) > INVARIANT_TOL:
+                    raise InvariantViolation(
+                        f"L^{p} norm drifted at outer step {n}")
+                if mass < before - INVARIANT_TOL:
+                    raise InvariantViolation(
+                        f"weighted mass decreased at outer step {n}")
+            yield mass
+            before = mass
 
     return _triangular_scheme(
         u, range(n_max), n_max,
         lambda state, k: polarize(state, Halfspace.line(nu[k], d[k])),
-        row, target=target, reverse=order == "reversed",
+        rows, target=target, reverse=order == "reversed",
         movers=lambda state, upcoming: _movers(state, upcoming, nu, c))
 
 

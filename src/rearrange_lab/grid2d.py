@@ -382,14 +382,16 @@ def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
             return steiner_rows(state, step)
         return _reflect(state, step, reflection(step))
 
-    def row(n, state, _):
+    def rows(ns, states, _):
         # h*h as the unit, not in the widths: the sum of |d|^p is scaled
         # once, as grid_lp_distance scales it
-        diff = np.abs(state.values - target.values).ravel()
-        return record(n, diff, np.ones(diff.size), state.h * state.h,
-                      gaussian_cell_mass(state), p, eps)
+        diff = np.abs(np.stack([state.values for state in states])
+                      - target.values).ravel()
+        return record(ns, diff, np.ones(diff.size),
+                      list(range(0, diff.size + 1, target.values.size)),
+                      u.h * u.h, map(gaussian_cell_mass, states), p, eps)
 
-    return _triangular_scheme(u, steps, n_max, apply, row)
+    return _triangular_scheme(u, steps, n_max, apply, rows)
 
 
 # -- CSV format: first row "m,h"; then 2m+1 rows of 2m+1 values, row index

@@ -208,13 +208,16 @@ def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
         raise ValueError("need at least n_max involution centers")
     target = rearrange_lattice(u)
 
-    def row(n, state, _):
-        sites = state._values.keys() | target._values.keys()
-        diff = np.array([abs(state.value(x) - target.value(x)) for x in sites])
-        return record(n, diff, np.ones(diff.size), 1.0,
-                      spiral_weighted_mass(state), p, eps)
+    def rows(ns, states, _):
+        sites = [state._values.keys() | target._values.keys()
+                 for state in states]
+        diff = np.array([abs(state.value(x) - target.value(x))
+                         for state, each in zip(states, sites) for x in each])
+        return record(ns, diff, np.ones(diff.size),
+                      np.cumsum([0, *map(len, sites)]).tolist(), 1.0,
+                      map(spiral_weighted_mass, states), p, eps)
 
-    return _triangular_scheme(u, centers, n_max, polarize_involution, row,
+    return _triangular_scheme(u, centers, n_max, polarize_involution, rows,
                               target)
 
 

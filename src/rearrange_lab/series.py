@@ -1,5 +1,6 @@
 """Per-iteration convergence records, and what the three engines' schemes
-share: the parameter check, the row formula and the triangular driver.
+share: the parameter check, the row formula, applied to a block of states
+at once, and the triangular driver.
 
 CSV layout: header ``n,lp_error,weighted_mass,sup_error,deviation_measure``,
 one row per recorded iteration (table rules in ``_textio``).
@@ -77,11 +78,29 @@ def finite_result(compute, what: str) -> float:
     try:
         with np.errstate(over="raise"):
             total = compute()
-        if math.isfinite(total):
-            return total
     except (OverflowError, FloatingPointError):
-        pass
+        total = math.inf
+    return finite(total, what)
+
+
+def finite(total: float, what: str) -> float:
+    """total, or ValueError naming `what` unless it is finite."""
+    if math.isfinite(total):
+        return total
     raise ValueError(f"{what} overflows the float range")
+
+
+def fsums(terms: np.ndarray, offsets: list[int]) -> list[float]:
+    """math.fsum of each segment terms[offsets[i]:offsets[i + 1]], its
+    terms in order; inf where the sum overflows."""
+    terms = terms.tolist()
+    sums = []
+    for a, b in zip(offsets, offsets[1:]):
+        try:
+            sums.append(math.fsum(terms[a:b]))
+        except OverflowError:
+            sums.append(math.inf)
+    return sums
 
 
 def check_scheme_parameters(p: float, eps: float) -> None:
@@ -93,28 +112,51 @@ def check_scheme_parameters(p: float, eps: float) -> None:
         raise ValueError("eps must be positive")
 
 
-def record(n: int, diff, widths, unit: float, mass: float, p: float,
-           eps: float) -> ConvergenceRecord:
-    """The row of outer step n: diff is |state - target| on the cells, the
-    measure of cell k is widths[k] * unit, and mass is the state's weighted
-    mass.  ValueError when the L^p error leaves the float range."""
-    return ConvergenceRecord(
-        n=n,
-        lp_error=finite_result(lambda: (math.fsum(
-            (diff if p == 1 else diff ** p) * widths) * unit) ** (1.0 / p),
-            "L^p error"),
-        weighted_mass=mass,
-        sup_error=float(np.max(diff)) if diff.size else 0.0,
-        deviation_measure=math.fsum(widths[diff > eps]) * unit,
-    )
+def record(ns, diff, widths, offsets, unit: float, masses, p: float,
+           eps: float) -> list[ConvergenceRecord]:
+    """The rows of a block of states, the state of outer step ns[i] for
+    each i.  diff is |state - target| on the cells of all of them,
+    concatenated: state i's cells are those from offsets[i] to
+    offsets[i + 1], a list of ints.  The measure of cell k is widths[k]
+    * unit.  masses yields each state's weighted mass in turn, and may
+    raise a state's error instead; row i reads its mass before its L^p
+    error, so the first failing row in n order raises.  ValueError when
+    a state's L^p error leaves the float range.
+
+    Each row's L^p error is (fsum(diff**p * widths) * unit) ** (1/p)
+    over the state's cells, its sup error their largest diff (0 when
+    there are none), and its deviation measure fsum(widths[diff > eps])
+    * unit."""
+    with np.errstate(all="ignore"):   # an overflow is the row's error
+        sums = fsums((diff if p == 1 else diff ** p) * widths, offsets)
+    over = diff > eps
+    deviations = fsums(widths[over],
+                       np.concatenate(([0], over.cumsum()))[offsets].tolist())
+    diff = diff.tolist()
+    rows = []
+    for i, (n, mass) in enumerate(zip(ns, masses)):
+        try:
+            lp_error = (sums[i] * unit) ** (1.0 / p)
+        except OverflowError:
+            lp_error = math.inf
+        rows.append(ConvergenceRecord(
+            n, finite(lp_error, "L^p error"), mass,
+            max(diff[offsets[i]:offsets[i + 1]], default=0.0),
+            deviations[i] * unit))
+    return rows
 
 
-def _triangular_scheme(start, steps, n_max, apply, row, target=None,
+# New states whose rows the driver asks for at once; bounds the states it
+# keeps pending, whatever n_max.
+_BLOCK = 64
+
+
+def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
                        reverse=False, movers=None) -> ConvergenceSeries:
     """Triangular scheme: outer step n applies steps[k % len(steps)] for
-    k = 0 .. n-1 (n-1 .. 0 if reverse), then appends row(n, state,
-    previous record).  Once an outer step ends on the state target, no
-    step is applied.
+    k = 0 .. n-1 (n-1 .. 0 if reverse), and its row measures the state it
+    ends on.  Once an outer step ends on the state target, no step is
+    applied.
 
     The driver works per state, not per index.  apply must return its
     input object when it changes nothing, and repeat that answer for the
@@ -125,50 +167,73 @@ def _triangular_scheme(start, steps, n_max, apply, row, target=None,
     those entries: it yields, in order, the entries of upcoming whose
     step apply may change state with, and only those are taken.  An entry
     it yields with a state in place of None is that step's result, which
-    the driver adopts without calling apply; the others reach apply.  An
-    outer step that ends on the identical state repeats the previous
-    record with the new n.  Both give the rows of the naive loop."""
+    the driver adopts without calling apply; the others reach apply.
+
+    Rows are computed per state change, in blocks: the driver keeps each
+    outer step that ends on a new state, the start included, and asks
+    rows(ns, states, previous) for their rows, one ConvergenceRecord per
+    state, where previous is the row before the block (None for the
+    first).  It asks when _BLOCK states are pending, when the run ends,
+    and before an error from apply or movers propagates, so that the
+    first failing row in n order raises first.  An outer step that ends
+    on the identical state repeats the previous row with its own n.  Both
+    give the rows of the naive loop."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    records = [row(0, start, None)]
+    records = []
+    ns, states = [0], [start]   # the new states whose rows are pending
     current = before = start
     done = target is not None and current == target
     n = 1   # the outer step under way
 
+    def flush():
+        """The pending rows; they leave the queue before they are
+        computed, so that an error computing them is raised once."""
+        nonlocal ns, states
+        block, ns, states = (ns, states), [], []
+        if block[1]:
+            records.extend(rows(*block, records[-1] if records else None))
+
     def finish(until):
-        """Append the records of the outer steps n .. until-1."""
+        """End the outer steps n .. until-1 on the current state."""
         nonlocal n, before, done
-        while n < until:
-            if current is before:
-                r = records[-1]
-                records.append(ConvergenceRecord(
-                    n, r.lp_error, r.weighted_mass, r.sup_error,
-                    r.deviation_measure))
-            else:
-                records.append(row(n, current, records[-1]))
-                before = current
-                done = target is not None and current == target
-            n += 1
+        if current is not before:
+            ns.append(n)
+            states.append(current)
+            before = current
+            done = target is not None and current == target
+            if len(states) == _BLOCK:
+                flush()
+        n = until
 
     resume = (1, 0)   # outer step and position of the next application
-    while not done:
-        upcoming = _upcoming(*resume, n_max, len(steps), reverse)
-        if movers is not None:
-            upcoming = movers(current, upcoming)
-        for m, q, k, out in upcoming:
-            if m > n:
-                finish(m)
-                if done:
+    try:
+        while not done:
+            upcoming = _upcoming(*resume, n_max, len(steps), reverse)
+            if movers is not None:
+                upcoming = movers(current, upcoming)
+            for m, q, k, out in upcoming:
+                if m > n:
+                    finish(m)
+                    if done:
+                        break
+                if out is None:
+                    out = apply(current, steps[k])
+                if out is not current:
+                    current, resume = out, (m, q + 1)
                     break
-            if out is None:
-                out = apply(current, steps[k])
-            if out is not current:
-                current, resume = out, (m, q + 1)
+            else:
                 break
-        else:
-            break
-    finish(n_max + 1)
-    return ConvergenceSeries(tuple(records))
+        finish(n_max + 1)
+    except Exception:
+        flush()   # an earlier row's error comes first
+        raise
+    flush()
+    ends = [r.n for r in records[1:]] + [n_max + 1]
+    return ConvergenceSeries(
+        r if m == r.n else ConvergenceRecord(
+            m, r.lp_error, r.weighted_mass, r.sup_error, r.deviation_measure)
+        for r, end in zip(records, ends) for m in range(r.n, end))
 
 
 def _upcoming(n, q, n_max, size, reverse):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _textio
 from .halfspace import Halfspace
-from .series import finite_result
+from .series import finite_result, fsums
 
 _EMPTY = np.empty(0)
 _EMPTY.setflags(write=False)
@@ -339,6 +339,46 @@ def lp_norm_pow(u: StepFunction, p: float) -> float:
         (distinct if p == 1 else distinct ** p) * totals), "L^p norm")
 
 
+def _stack(states):
+    """states side by side: their breakpoints and their values, each
+    concatenated; the offset of each state's first breakpoint and first
+    value, the totals last; and the index of each breakpoint that ends a
+    piece, so that piece k lies between breakpoints ends[k] - 1 and
+    ends[k]."""
+    b = np.concatenate([u.breakpoints for u in states])
+    v = np.concatenate([u.values for u in states])
+    b_offsets = np.cumsum([0, *(u.breakpoints.size for u in states)])
+    v_offsets = np.cumsum([0, *(u.values.size for u in states)])
+    ends = np.ones(b.size + 1, dtype=bool)
+    ends[b_offsets] = False
+    return b, v, b_offsets, v_offsets, ends[:-1].nonzero()[0]
+
+
+def _lp_norms_pow(stack, p: float) -> list[float]:
+    """lp_norm_pow of each state of a _stack, inf where it leaves the float
+    range.  One stable lexsort on (state, value) groups all their pieces;
+    each group's total length is summed in the order of its state's
+    pieces, as _grouped_lengths sums it."""
+    b, v, _, v_offsets, ends = stack
+    owner = np.repeat(np.arange(v_offsets.size - 1), np.diff(v_offsets))
+    order = np.lexsort((v, owner))
+    ranked, owner = v[order], owner[order]
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]) | (owner[1:] != owner[:-1])
+    group = np.empty(v.size, dtype=np.intp)   # each piece's group
+    group[order] = first.cumsum() - 1
+    totals = np.zeros(np.count_nonzero(first))
+    np.add.at(totals, group, b[ends] - b[ends - 1])
+    # values are nonnegative: each state's zero group is the one to drop
+    positive = ranked[first] != 0
+    distinct, totals = ranked[first][positive], totals[positive]
+    offsets = np.cumsum([0, *np.bincount(owner[first][positive],
+                                         minlength=v_offsets.size - 1)])
+    with np.errstate(all="ignore"):   # an overflow is the caller's error
+        return fsums((distinct if p == 1 else distinct ** p) * totals,
+                     offsets.tolist())
+
+
 def lp_norm(u: StepFunction, p: float) -> float:
     return lp_norm_pow(u, p) ** (1.0 / p)
 
@@ -365,6 +405,37 @@ def _abs_diff(u: StepFunction, v: StepFunction):
     widths; both empty when u = v = 0."""
     a, b, widths = _merged_cells(u, v)
     return np.abs(a - b), widths
+
+
+def _abs_diffs(stack, v: StepFunction):
+    """_abs_diff(u, v) of each state u of a _stack, concatenated, and the
+    offset of each state's first cell, the total last.  One stable lexsort
+    on (state, breakpoint) merges each state's breakpoints with v's, u's
+    first on a tie, as merged_grid does; a cell's values are read at its
+    left end, from the count of each function's breakpoints up to the end
+    of that end's run of equal points."""
+    b, vals, b_offsets, v_offsets, ends = stack
+    count, t = b_offsets.size - 1, v.breakpoints.size
+    states = np.arange(count)
+    points = np.concatenate([b, *[v.breakpoints] * count])
+    owner = np.concatenate([np.repeat(states, np.diff(b_offsets)),
+                            np.repeat(states, t)])
+    order = np.lexsort((points, owner))
+    points, owner = points[order], owner[order]
+    kept = np.ones(points.size, dtype=bool)   # the first of each run
+    kept[1:] = (points[1:] != points[:-1]) | (owner[1:] != owner[:-1])
+    kept = kept.nonzero()[0]
+    inner = owner[kept[1:]] == owner[kept[:-1]]
+    lo, hi = kept[:-1][inner], kept[1:][inner]
+    cell_owner = owner[lo]
+    mine = (order < b.size).cumsum()   # u's points up to each point
+    # u's values padded by a zero on each side, side by side
+    padded = np.zeros(b.size + count)
+    padded[ends + np.repeat(states, np.diff(v_offsets))] = vals
+    a = padded[mine[hi - 1] + cell_owner]
+    theirs = _padded(v)[hi - mine[hi - 1] - t * cell_owner]
+    offsets = np.cumsum([0, *np.bincount(cell_owner, minlength=count)])
+    return np.abs(a - theirs), points[hi] - points[lo], offsets.tolist()
 
 
 def lp_distance_pow(u: StepFunction, v: StepFunction, p: float) -> float:

@@ -6,15 +6,16 @@ naive loops below apply every step and recompute every record; the series
 CSV bytes must agree exactly.
 """
 
+import itertools
 import math
 import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
-from rearrange_lab import analysis, generators, grid2d, step1d
+from rearrange_lab import analysis, generators, grid2d, series, step1d
 from rearrange_lab.analysis import (
     INVARIANT_TOL,
     InvariantViolation,
@@ -48,9 +49,11 @@ from rearrange_lab.series import (
     ConvergenceRecord,
     ConvergenceSeries,
     _triangular_scheme,
+    finite_result,
 )
 from rearrange_lab.step1d import (
     StepFunction,
+    _abs_diff,
     _movers,
     deviation_measure,
     lp_distance,
@@ -59,7 +62,7 @@ from rearrange_lab.step1d import (
     rearrange,
     sup_distance,
 )
-from test_step1d import HALFSPACE, columns, decision_states
+from test_step1d import HALFSPACE, POINT, columns, decision_states
 
 SEEDS = (3, 17, 29, 101)
 CLI_GRID_STEPS = [Axis.X, Axis.Y,
@@ -299,6 +302,18 @@ def test_memo_skips_polarizations(monkeypatch):
     assert 0 < len(calls) < 100 * 101 // 2 // 4
 
 
+def per_state(row):
+    """The driver's block hook from a row function of one state:
+    row(n, state, previous record)."""
+    def rows(ns, states, previous):
+        block = []
+        for n, state in zip(ns, states):
+            previous = row(n, state, previous)
+            block.append(previous)
+        return block
+    return rows
+
+
 class Counter:
     def __init__(self, value):
         self.value = value
@@ -314,7 +329,7 @@ def test_driver_does_not_assume_idempotence():
     def record(n, state, previous):
         return ConvergenceRecord(n, float(state.value), 0.0, 0.0, 0.0)
 
-    got = _triangular_scheme(Counter(0), [1, 2], 5, apply, record)
+    got = _triangular_scheme(Counter(0), [1, 2], 5, apply, per_state(record))
     naive = []
     state = Counter(0)
     for n in range(6):
@@ -389,8 +404,9 @@ def test_short_step_list_matches_naive_loop(seed, reverse, size):
     want = naive_scheme(u, steps, 12, changes(polarize, want_log), record,
                         target, reverse)
     plain = _triangular_scheme(u, steps, 12, changes(polarize, plain_log),
-                               record, target, reverse)
-    got = _triangular_scheme(u, steps, 12, polarize, record, target, reverse,
+                               per_state(record), target, reverse)
+    got = _triangular_scheme(u, steps, 12, polarize, per_state(record),
+                             target, reverse,
                              movers=adopting(movers_of(steps), got_log))
     assert plain.dumps() == got.dumps() == want.dumps()
     assert plain_log == got_log[1:] == want_log
@@ -409,7 +425,7 @@ def test_error_raised_after_the_same_changes():
     with pytest.raises(ValueError, match="beyond the float range"):
         naive_scheme(u, steps, 8, changes(polarize, want_log), record)
     with pytest.raises(ValueError, match="beyond the float range"):
-        _triangular_scheme(u, steps, 8, polarize, record,
+        _triangular_scheme(u, steps, 8, polarize, per_state(record),
                            movers=adopting(movers_of(steps), got_log))
     assert got_log[1:] == want_log != []
 
@@ -440,7 +456,7 @@ def test_adopted_states_and_errors_match_naive_loop(u, steps, reverse):
     want = outcome(lambda: naive_scheme(
         u, steps, 8, changes(polarize, want_log), record, reverse=reverse))
     got = outcome(lambda: _triangular_scheme(
-        u, steps, 8, polarize, record, reverse=reverse,
+        u, steps, 8, polarize, per_state(record), reverse=reverse,
         movers=adopting(movers_of(steps), got_log)))
     assert got == want
     assert got_log[1:] == want_log
@@ -470,7 +486,7 @@ def test_target_reached_before_the_end_of_a_step(reverse, goal):
     steps = [1, 2, 0]
     want = naive_scheme(Residue(0), steps, 9, apply, record, Residue(goal),
                         reverse)
-    got = _triangular_scheme(Residue(0), steps, 9, apply, record,
+    got = _triangular_scheme(Residue(0), steps, 9, apply, per_state(record),
                              Residue(goal), reverse)
     assert got.dumps() == want.dumps()
 
@@ -593,3 +609,237 @@ def test_cli_converge_exits_4_on_invariant_violation(monkeypatch, tmp_path):
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5"]) == 4
     assert not out.exists()
+
+
+def _adopting(*states):
+    """A _movers stand-in whose k-th call yields the first entry of a later
+    outer step than the last one it yielded, with states[k] (None sends
+    that entry to polarize); once states run out it yields nothing."""
+    queue = list(states)
+    last = 0
+
+    def movers(state, entries, nu, c):
+        nonlocal last
+        for m, q, k, _ in entries:
+            if queue and m > last:
+                last = m
+                yield m, q, k, queue.pop(0)
+                return
+    return movers
+
+
+def _failing_polarize(state, h):
+    raise ValueError("the mirror image of the support across "
+                     f"{h.encode()} is beyond the float range")
+
+
+def test_violation_before_a_later_polarization_error_is_exit_4(
+        monkeypatch, tmp_path, capsys):
+    """The row of outer step 1 lowers the mass; the polarization of outer
+    step 2 raises.  The row comes first in n order, so the run ends in the
+    row's InvariantViolation, as when each row was computed at once."""
+    src = tmp_path / "u.csv"
+    out = tmp_path / "series.csv"
+    u = StepFunction.indicator(0, 1)
+    step1d.write_csv(u, src)
+    monkeypatch.setattr(analysis, "_movers", _adopting(_shift_right(u), None))
+    monkeypatch.setattr(analysis, "polarize", _failing_polarize)
+    assert main(["converge", "--input", str(src), "--output", str(out),
+                 "--n-max", "5"]) == 4
+    assert capsys.readouterr().err == (
+        "invariant violation: weighted mass decreased at outer step 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start, first, args, what", [
+    # the triangular mass of 1e308 on [0, 1.5) is about 2.3e309
+    ("0,1\n1,", StepFunction([0, 1.5], [1e308]), [], "weighted mass"),
+    # (1e200)^2 overflows at p = 2
+    ("0,1\n1,", StepFunction([0, 1], [1e200]), ["--p", "2"], "L^p norm"),
+    # row 0: the distance of u to u* on [-0.5, 0.5) is 3e308
+    ("10,1.5e308\n11,", None, ["--weight", "gaussian"], "L^p error"),
+], ids=["weighted-mass", "lp-norm", "lp-error"])
+def test_overflow_before_a_later_violation_is_exit_2(
+        monkeypatch, tmp_path, capsys, start, first, args, what):
+    """A row that overflows, followed by the zero function, whose row
+    would fail the L^p drift check: the overflow comes first in n order
+    and is the error."""
+    src = tmp_path / "u.csv"
+    out = tmp_path / "series.csv"
+    src.write_text(f"breakpoint,value\n{start}\n")
+    states = [first] if first else []
+    monkeypatch.setattr(analysis, "_movers",
+                        _adopting(*states, StepFunction.zero()))
+    assert main(["converge", "--input", str(src), "--output", str(out),
+                 "--n-max", "5", *args]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {what} overflows the float range\n")
+    assert not out.exists()
+
+
+# -- rows in blocks ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_rows_in_blocks_of_any_size_match_naive_loops(monkeypatch, block):
+    """With a small block constant a run's rows take many calls of the rows
+    hook, each given the row before it; the series of all three engines
+    stay those of the naive loops, whose rows take one state each."""
+    monkeypatch.setattr(series, "_BLOCK", block)
+    rng = random.Random(block)
+    u = generators.random_step_function(rng, span=1.0)
+    schedule, weight = Schedule(1, rho=0.1), RadialWeight.gaussian()
+    assert (converge_scheme(u, schedule, n_max=40, p=1.5, weight=weight)
+            .dumps() == naive_converge(u, schedule, 40, 1.5, weight, 0.01,
+                                       "forward").dumps())
+    v = generators.random_lattice_function(rng)
+    centers = spiral_sites(40)
+    assert (schedule_scheme_lattice(v, centers, n_max=40, p=1.5).dumps()
+            == naive_lattice(v, centers, 40, 1.5, 0.5).dumps())
+    g = generators.random_grid_function(rng, m=4)
+    assert (mixed_schedule(g, CLI_GRID_STEPS, n_max=16, p=1.5).dumps()
+            == naive_grid(g, CLI_GRID_STEPS, 16, 1.5, 0.01).dumps())
+
+
+VALUE = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.5, 5e-324, 2.5e-320, 1e-300, 1e300,
+                     2.0 ** 1023, 1.7976931348623157e308]),
+    st.floats(0.0, 10.0))
+
+
+@st.composite
+def step_functions(draw, points):
+    """A step function of one to six pieces on points drawn from points,
+    with subnormal, ordinary and near-overflow values."""
+    b = sorted(draw(st.lists(points, min_size=2, max_size=7, unique=True)))
+    # unique keeps both zeros; the breakpoints must increase strictly
+    assume(all(x < y for x, y in zip(b, b[1:])))
+    assume(math.isfinite(b[-1] - b[0]))
+    return StepFunction(b, draw(st.lists(VALUE, min_size=len(b) - 1,
+                                         max_size=len(b) - 1)))
+
+
+@st.composite
+def walks(draw):
+    """A start u and 1 to 7 further states: polarizations of the state
+    before, u*, the zero function, or a state on points that include u*'s
+    breakpoints, whose row need not pass the scheme's checks."""
+    u = draw(st.one_of(st.just(StepFunction.zero()), step_functions(POINT)))
+    try:
+        target = rearrange(u)
+    except ValueError:   # the scheme fails before its first row
+        reject()
+    shared = st.one_of(POINT, st.sampled_from(
+        target.breakpoints.tolist() or [0.0]))
+    states = [u]
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(
+            ["polarized", "polarized", "target", "zero", "drawn"]))
+        if kind == "polarized":
+            try:
+                states.append(polarize(states[-1], draw(HALFSPACE)))
+            except ValueError:   # a mirror image beyond the float range
+                states.append(states[-1])
+        elif kind == "target":
+            states.append(target)
+        elif kind == "zero":
+            states.append(StepFunction.zero())
+        else:
+            states.append(draw(step_functions(shared)))
+    return states
+
+
+def scheme_rows(u, **kwargs):
+    """converge_scheme's rows hook for the start u."""
+    hooks = []
+    with mock.patch.object(analysis, "_triangular_scheme",
+                           lambda *args, **_: hooks.append(args[4])):
+        converge_scheme(u, n_max=1, **kwargs)
+    return hooks[0]
+
+
+def walking(states):
+    """A movers hook under which outer step n ends on a copy of states[n]:
+    from each state it yields the first entry of the next outer step, with
+    the next state."""
+    rest = iter(states[1:])
+    last = 0
+
+    def movers(state, upcoming):
+        nonlocal last
+        for m, q, k, _ in upcoming:
+            if m > last:
+                last = m
+                for u in itertools.islice(rest, 1):
+                    yield m, q, k, StepFunction._from_canonical(
+                        u.breakpoints, u.values)
+                return
+    return movers
+
+
+def per_state_rows(states, p, weight, eps):
+    """The 1-D scheme's rows from the start states[0], one state at a time
+    through the per-state functions, with the checks of each row first."""
+    target = rearrange(states[0])
+    norm0 = lp_norm(states[0], p)
+    rows, previous = [], None
+    for n, state in enumerate(states):
+        mass = weighted_mass(state, weight)
+        if previous is not None:
+            if abs(lp_norm(state, p) - norm0) > INVARIANT_TOL:
+                raise InvariantViolation(
+                    f"L^{p} norm drifted at outer step {n}")
+            if mass < previous.weighted_mass - INVARIANT_TOL:
+                raise InvariantViolation(
+                    f"weighted mass decreased at outer step {n}")
+        diff, widths = _abs_diff(state, target)
+        previous = ConvergenceRecord(
+            n, finite_result(lambda: math.fsum(
+                (diff if p == 1 else diff ** p) * widths) ** (1.0 / p),
+                "L^p error"),
+            mass, float(np.max(diff)) if diff.size else 0.0,
+            math.fsum(widths[diff > eps]))
+        rows.append(previous)
+    return rows
+
+
+def _hex_rows(run):
+    """The rows of run() with each float as float.hex, or its error."""
+    try:
+        return [(r.n, *map(float.hex, (r.lp_error, r.weighted_mass,
+                                       r.sup_error, r.deviation_measure)))
+                for r in run()]
+    except (ValueError, InvariantViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@example(states=[StepFunction([10, 11], [1.5e308])] * 2, p=1.0,
+         weight=RadialWeight.gaussian(), eps=0.01, block=1)
+@given(states=walks(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       weight=st.one_of(st.just(RadialWeight.gaussian()),
+                        st.sampled_from([0.5, 16.0, 1e300]).map(
+                            RadialWeight.triangular)),
+       eps=st.one_of(st.sampled_from([0.01, 1.0, 2.0]),
+                     st.floats(5e-324, 1e308)),
+       block=st.sampled_from([1, 2, 3, series._BLOCK]))
+def test_block_rows_match_the_per_state_functions(states, p, weight, eps,
+                                                  block):
+    """The driver walks the drawn states, one per outer step, and computes
+    their rows in blocks through converge_scheme's hook: each row equals
+    the per-state functions' bit for bit, signed zeros included, and the
+    first failing row in n order gives the error."""
+    kwargs = dict(p=p, weight=weight, eps=eps)
+    try:
+        rows = scheme_rows(states[0], **kwargs)
+    except ValueError:   # u's own L^p norm overflows
+        reject()
+    n_max = len(states) - 1
+    # an overflowing width warns in both; here it is the row's error
+    with mock.patch.object(series, "_BLOCK", block), \
+            np.errstate(all="ignore"):
+        got = _hex_rows(lambda: _triangular_scheme(
+            states[0], range(n_max), n_max, None, rows,
+            movers=walking(states)))
+        want = _hex_rows(lambda: per_state_rows(states, **kwargs))
+    assert got == want
