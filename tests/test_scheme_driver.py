@@ -13,7 +13,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, reject, settings, strategies as st
+from hypothesis import (assume, example, given, reject, settings,
+                        strategies as st)
 
 from rearrange_lab import analysis, generators, grid2d, series, step1d
 from rearrange_lab.analysis import (
@@ -611,19 +612,23 @@ def test_cli_converge_exits_4_on_invariant_violation(monkeypatch, tmp_path):
     assert not out.exists()
 
 
-def _adopting(*states):
-    """A _movers stand-in whose k-th call yields the first entry of a later
-    outer step than the last one it yielded, with states[k] (None sends
-    that entry to polarize); once states run out it yields nothing."""
-    queue = list(states)
+def walking(states):
+    """A movers hook, also fit for _movers' place, that ends each next
+    outer step on a fresh copy of the next of states (None leaves that
+    step to apply): from each state it yields the first entry of a later
+    outer step than the last one it yielded, and nothing once states run
+    out."""
+    rest = iter(states)
     last = 0
 
-    def movers(state, entries, nu, c):
+    def movers(state, upcoming, *columns):
         nonlocal last
-        for m, q, k, _ in entries:
-            if queue and m > last:
+        for m, q, k, _ in upcoming:
+            if m > last:
                 last = m
-                yield m, q, k, queue.pop(0)
+                for u in itertools.islice(rest, 1):
+                    yield m, q, k, None if u is None else (
+                        StepFunction._from_canonical(u.breakpoints, u.values))
                 return
     return movers
 
@@ -642,7 +647,7 @@ def test_violation_before_a_later_polarization_error_is_exit_4(
     out = tmp_path / "series.csv"
     u = StepFunction.indicator(0, 1)
     step1d.write_csv(u, src)
-    monkeypatch.setattr(analysis, "_movers", _adopting(_shift_right(u), None))
+    monkeypatch.setattr(analysis, "_movers", walking([_shift_right(u), None]))
     monkeypatch.setattr(analysis, "polarize", _failing_polarize)
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5"]) == 4
@@ -669,7 +674,7 @@ def test_overflow_before_a_later_violation_is_exit_2(
     src.write_text(f"breakpoint,value\n{start}\n")
     states = [first] if first else []
     monkeypatch.setattr(analysis, "_movers",
-                        _adopting(*states, StepFunction.zero()))
+                        walking([*states, StepFunction.zero()]))
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5", *args]) == 2
     assert capsys.readouterr().err == (
@@ -758,25 +763,6 @@ def scheme_rows(u, **kwargs):
     return hooks[0]
 
 
-def walking(states):
-    """A movers hook under which outer step n ends on a copy of states[n]:
-    from each state it yields the first entry of the next outer step, with
-    the next state."""
-    rest = iter(states[1:])
-    last = 0
-
-    def movers(state, upcoming):
-        nonlocal last
-        for m, q, k, _ in upcoming:
-            if m > last:
-                last = m
-                for u in itertools.islice(rest, 1):
-                    yield m, q, k, StepFunction._from_canonical(
-                        u.breakpoints, u.values)
-                return
-    return movers
-
-
 def per_state_rows(states, p, weight, eps):
     """The 1-D scheme's rows from the start states[0], one state at a time
     through the per-state functions, with the checks of each row first."""
@@ -840,6 +826,6 @@ def test_block_rows_match_the_per_state_functions(states, p, weight, eps,
             np.errstate(all="ignore"):
         got = _hex_rows(lambda: _triangular_scheme(
             states[0], range(n_max), n_max, None, rows,
-            movers=walking(states)))
+            movers=walking(states[1:])))
         want = _hex_rows(lambda: per_state_rows(states, **kwargs))
     assert got == want
