@@ -78,6 +78,11 @@ BAD_COMMANDS = {
         "site,value\n5,1e308\n6,1e308\n", _CONVERGE + ["--n-max", "3"]),
     "converge grid error overflow": (
         "1,0.5\n0,0,0\n1e308,1e308,0\n0,0,0\n", _CONVERGE + ["--n-max", "2"]),
+    "converge step1d deviation overflow": (
+        "breakpoint,value\n6e307,0.5\n1.6e308,\n",
+        _CONVERGE + ["--n-max", "2"]),
+    "converge grid deviation overflow": (
+        "1,1e154\n0,0,0\n0,0,0\n0,0,0.1\n", _CONVERGE + ["--n-max", "2"]),
     "converge grid cell area": ("1,1e200\n0,0,0\n0,1,0\n0,0,0\n",
                                 _CONVERGE + ["--n-max", "2"]),
     "converge no input": (None, ["converge", "--output", "{out}"]),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .halfspace import Halfspace, Schedule
 from .series import (ConvergenceSeries, _triangular_scheme,
-                     check_scheme_parameters, finite, finite_result, fsums,
+                     check_scheme_parameters, finite, fsum, fsums,
                      record)
 from .step1d import (
     StepFunction,
@@ -88,16 +88,8 @@ def weighted_mass(u: StepFunction, w: RadialWeight) -> float:
     quadrature (absolute error well below 1e-12) for the Gaussian.
     ValueError when the mass leaves the float range."""
     b = u.breakpoints
-    # Overflows give inf and nan as in Python floats, with no numpy warning;
-    # the sum then raises or is not finite.
-    with np.errstate(all="ignore"):
-        if w.radius is None:
-            f = np.array([w.antiderivative(x) for x in b.tolist()])
-        else:   # antiderivative's operations, elementwise
-            r = np.minimum(np.abs(b), w.radius)
-            f = np.copysign(w.radius * r - 0.5 * r * r, b)
-        terms = u.values * (f[1:] - f[:-1])
-    return finite_result(lambda: math.fsum(terms.tolist()), "weighted mass")
+    terms = _mass_terms(b, u.values, np.arange(1, b.size), w)
+    return finite(fsum(terms.tolist()), "weighted mass")
 
 
 def _weighted_masses(stack, w: RadialWeight) -> list[float]:
@@ -105,13 +97,22 @@ def _weighted_masses(stack, w: RadialWeight) -> list[float]:
     arithmetic over all their breakpoints at once; inf or nan where it
     leaves the float range."""
     b, v, _, v_offsets, ends = stack
+    return fsums(_mass_terms(b, v, ends, w), v_offsets.tolist())
+
+
+def _mass_terms(b: np.ndarray, v: np.ndarray, ends: np.ndarray,
+                w: RadialWeight) -> np.ndarray:
+    """v[k] times the integral of w over piece k, from breakpoint
+    b[ends[k] - 1] to b[ends[k]], for each k: w.antiderivative's
+    operations, elementwise over b, and their differences.  Overflows give
+    inf and nan as in Python floats, with no numpy warning."""
     with np.errstate(all="ignore"):
         if w.radius is None:
             f = np.array([w.antiderivative(x) for x in b.tolist()])
         else:
             r = np.minimum(np.abs(b), w.radius)
             f = np.copysign(w.radius * r - 0.5 * r * r, b)
-        return fsums(v * (f[ends] - f[ends - 1]), v_offsets.tolist())
+        return v * (f[ends] - f[ends - 1])
 
 
 def polarization_gap(u: StepFunction, h: Halfspace, w: RadialWeight) -> float:
@@ -121,9 +122,12 @@ def polarization_gap(u: StepFunction, h: Halfspace, w: RadialWeight) -> float:
 
 
 def product_integral(u: StepFunction, v: StepFunction) -> float:
-    """Integral of u*v over the merged breakpoint grid."""
+    """Integral of u*v over the merged breakpoint grid; ValueError when it
+    leaves the float range."""
     a, b, widths = _merged_cells(u, v)
-    return float(math.fsum(a * b * widths))
+    with np.errstate(all="ignore"):
+        terms = a * b * widths
+    return finite(fsum(terms.tolist()), "product integral")
 
 
 def hardy_littlewood_gap(u: StepFunction, v: StepFunction) -> float:

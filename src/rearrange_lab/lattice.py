@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _textio
 from .series import (ConvergenceSeries, _triangular_scheme,
-                     check_scheme_parameters, finite_result, record)
+                     check_scheme_parameters, finite, fsum, record)
 
 
 def rank(x: int) -> int:
@@ -192,8 +192,8 @@ def spiral_weighted_mass(u: LatticeFunction) -> float:
     """Sum of u(x) / (1 + rank(x)); strictly decreasing weight along the
     spiral, so it never decreases under polarization.  ValueError when the
     sum leaves the float range."""
-    return finite_result(lambda: math.fsum(
-        v / (1 + rank(x)) for x, v in u._values.items()), "spiral weighted mass")
+    return finite(fsum(v / (1 + rank(x)) for x, v in u._values.items()),
+                  "spiral weighted mass")
 
 
 def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],

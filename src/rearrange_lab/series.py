@@ -2,6 +2,13 @@
 share: the parameter check, the row formula, applied to a block of states
 at once, and the triangular driver.
 
+Also the lab's one overflow rule.  Every mass, norm, distance and row
+column is a sum taken by ``fsum``, ``fsums`` or ``power_sums``: numpy
+arithmetic runs quietly, with no warning, and a sum past the float range
+comes out inf (or nan).  ``finite(total, what)`` then turns a total that
+is not finite into a ValueError naming it, which the CLI reports with
+exit 2.
+
 CSV layout: header ``n,lp_error,weighted_mass,sup_error,deviation_measure``,
 one row per recorded iteration (table rules in ``_textio``).
 """
@@ -71,18 +78,6 @@ class ConvergenceSeries:
         return cls.loads(_textio.read_text(path))
 
 
-def finite_result(compute, what: str) -> float:
-    """compute(), or ValueError naming `what` when the result, or a step on
-    the way to it, leaves the float range.  A numpy overflow raises here
-    instead of warning, as do Python's float power and math.fsum."""
-    try:
-        with np.errstate(over="raise"):
-            total = compute()
-    except (OverflowError, FloatingPointError):
-        total = math.inf
-    return finite(total, what)
-
-
 def finite(total: float, what: str) -> float:
     """total, or ValueError naming `what` unless it is finite."""
     if math.isfinite(total):
@@ -90,17 +85,28 @@ def finite(total: float, what: str) -> float:
     raise ValueError(f"{what} overflows the float range")
 
 
+def fsum(terms) -> float:
+    """math.fsum of the iterable terms; inf where the sum, or a term as
+    it is computed, leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def fsums(terms: np.ndarray, offsets: list[int]) -> list[float]:
-    """math.fsum of each segment terms[offsets[i]:offsets[i + 1]], its
-    terms in order; inf where the sum overflows."""
+    """fsum of each segment terms[offsets[i]:offsets[i + 1]], its terms in
+    order."""
     terms = terms.tolist()
-    sums = []
-    for a, b in zip(offsets, offsets[1:]):
-        try:
-            sums.append(math.fsum(terms[a:b]))
-        except OverflowError:
-            sums.append(math.inf)
-    return sums
+    return [fsum(terms[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
+def power_sums(x: np.ndarray, p: float, weights: np.ndarray,
+               offsets: list[int]) -> list[float]:
+    """fsums of x**p * weights (x * weights when p == 1), computed
+    quietly: inf or nan where a term or a sum leaves the float range."""
+    with np.errstate(all="ignore"):
+        return fsums((x if p == 1 else x ** p) * weights, offsets)
 
 
 def check_scheme_parameters(p: float, eps: float) -> None:
@@ -121,14 +127,14 @@ def record(ns, diff, widths, offsets, unit: float, masses, p: float,
     * unit.  masses yields each state's weighted mass in turn, and may
     raise a state's error instead; row i reads its mass before its L^p
     error, so the first failing row in n order raises.  ValueError when
-    a state's L^p error leaves the float range.
+    a state's L^p error, or then its deviation measure, leaves the float
+    range.
 
     Each row's L^p error is (fsum(diff**p * widths) * unit) ** (1/p)
     over the state's cells, its sup error their largest diff (0 when
     there are none), and its deviation measure fsum(widths[diff > eps])
     * unit."""
-    with np.errstate(all="ignore"):   # an overflow is the row's error
-        sums = fsums((diff if p == 1 else diff ** p) * widths, offsets)
+    sums = power_sums(diff, p, widths, offsets)
     over = diff > eps
     deviations = fsums(widths[over],
                        np.concatenate(([0], over.cumsum()))[offsets].tolist())
@@ -142,7 +148,7 @@ def record(ns, diff, widths, offsets, unit: float, masses, p: float,
         rows.append(ConvergenceRecord(
             n, finite(lp_error, "L^p error"), mass,
             max(diff[offsets[i]:offsets[i + 1]], default=0.0),
-            deviations[i] * unit))
+            finite(deviations[i] * unit, "deviation measure")))
     return rows
 
 

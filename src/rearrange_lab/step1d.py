@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _textio
 from .halfspace import Halfspace
-from .series import finite_result, fsums
+from .series import finite, fsum, power_sums
 
 _EMPTY = np.empty(0)
 _EMPTY.setflags(write=False)
@@ -325,7 +325,7 @@ def superlevel_measure(u: StepFunction, lam: float) -> float:
     if u.is_zero:
         return 0.0
     lengths = np.diff(u.breakpoints)
-    return float(math.fsum(lengths[u.values > lam]))
+    return fsum(lengths[u.values > lam])
 
 
 def lp_norm_pow(u: StepFunction, p: float) -> float:
@@ -335,8 +335,8 @@ def lp_norm_pow(u: StepFunction, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     distinct, totals = _grouped_lengths(u)
-    return finite_result(lambda: math.fsum(
-        (distinct if p == 1 else distinct ** p) * totals), "L^p norm")
+    return finite(power_sums(distinct, p, totals, [0, distinct.size])[0],
+                  "L^p norm")
 
 
 def _stack(states):
@@ -374,9 +374,7 @@ def _lp_norms_pow(stack, p: float) -> list[float]:
     distinct, totals = ranked[first][positive], totals[positive]
     offsets = np.cumsum([0, *np.bincount(owner[first][positive],
                                          minlength=v_offsets.size - 1)])
-    with np.errstate(all="ignore"):   # an overflow is the caller's error
-        return fsums((distinct if p == 1 else distinct ** p) * totals,
-                     offsets.tolist())
+    return power_sums(distinct, p, totals, offsets.tolist())
 
 
 def lp_norm(u: StepFunction, p: float) -> float:
@@ -444,8 +442,8 @@ def lp_distance_pow(u: StepFunction, v: StepFunction, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1")
     diff, widths = _abs_diff(u, v)
-    return finite_result(lambda: math.fsum(
-        (diff if p == 1 else diff ** p) * widths), "L^p distance")
+    return finite(power_sums(diff, p, widths, [0, diff.size])[0],
+                  "L^p distance")
 
 
 def lp_distance(u: StepFunction, v: StepFunction, p: float) -> float:
@@ -458,11 +456,12 @@ def sup_distance(u: StepFunction, v: StepFunction) -> float:
 
 
 def deviation_measure(u: StepFunction, v: StepFunction, eps: float) -> float:
-    """Measure of {|u - v| > eps}, exact on the merged grid."""
+    """Measure of {|u - v| > eps}, exact on the merged grid; ValueError
+    when it leaves the float range."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     diff, widths = _abs_diff(u, v)
-    return math.fsum(widths[diff > eps])
+    return finite(fsum(widths[diff > eps]), "deviation measure")
 
 
 # -- CSV format: header "breakpoint,value"; row i < k holds b_{i-1},v_i;

@@ -1,10 +1,13 @@
 import math
 import random
+import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rearrange_lab import generators
+from rearrange_lab import generators, step1d
 from rearrange_lab.analysis import (
     RadialWeight,
     cavalieri_gap,
@@ -16,9 +19,12 @@ from rearrange_lab.analysis import (
     product_integral,
     weighted_mass,
 )
+from rearrange_lab.grid2d import GridFunction, grid_lp_distance
 from rearrange_lab.halfspace import Halfspace, Schedule
-from rearrange_lab.series import ConvergenceSeries, finite_result
-from rearrange_lab.step1d import StepFunction, lp_norm, polarize, rearrange
+from rearrange_lab.lattice import LatticeFunction, rank, spiral_weighted_mass
+from rearrange_lab.series import ConvergenceSeries, finite
+from rearrange_lab.step1d import (StepFunction, lp_distance_pow, lp_norm,
+                                  lp_norm_pow, polarize, rearrange)
 
 
 class TestRadialWeight:
@@ -58,6 +64,21 @@ class TestRadialWeight:
             RadialWeight.parse("boxcar")
 
 
+# The overflow rule of the single-state sums before they computed quietly
+# and checked with series.finite, verbatim; the reference of the tests here
+# and in test_scheme_driver.
+def finite_result(compute, what: str) -> float:
+    """compute(), or ValueError naming `what` when the result, or a step on
+    the way to it, leaves the float range.  A numpy overflow raises here
+    instead of warning, as do Python's float power and math.fsum."""
+    try:
+        with np.errstate(over="raise"):
+            total = compute()
+    except (OverflowError, FloatingPointError):
+        total = math.inf
+    return finite(total, what)
+
+
 def per_breakpoint_mass(u, w):
     """weighted_mass by one RadialWeight.antiderivative call per
     breakpoint, summed over Python floats."""
@@ -67,11 +88,11 @@ def per_breakpoint_mass(u, w):
         "weighted mass")
 
 
-def outcome(mass, u, w):
-    """mass(u, w) as its exact bits (the sign of zero included), or its
+def outcome(f, *args):
+    """f(*args) as its exact bits (the sign of zero included), or its
     ValueError."""
     try:
-        return mass(u, w).hex()
+        return f(*args).hex()
     except ValueError as exc:
         return f"ValueError: {exc}"
 
@@ -127,6 +148,76 @@ class TestWeightedMass:
                                                        u, w)
 
 
+# The single-state sums' formulas, each through finite_result.
+def old_lp_norm_pow(u, p):
+    distinct, totals = step1d._grouped_lengths(u)
+    return finite_result(lambda: math.fsum(
+        (distinct if p == 1 else distinct ** p) * totals), "L^p norm")
+
+
+def old_lp_distance_pow(u, v, p):
+    diff, widths = step1d._abs_diff(u, v)
+    return finite_result(lambda: math.fsum(
+        (diff if p == 1 else diff ** p) * widths), "L^p distance")
+
+
+def old_spiral_weighted_mass(u):
+    return finite_result(lambda: math.fsum(
+        v / (1 + rank(x)) for x, v in u._values.items()), "spiral weighted mass")
+
+
+def old_grid_lp_distance(u, v, p):
+    diff = np.abs(u.values - v.values)
+    return finite_result(lambda: (math.fsum((diff ** p).ravel())
+                                  * (u.h * u.h)) ** (1.0 / p), "L^p error")
+
+
+# Values from the smallest subnormal to the float max; breakpoints whose
+# merged grids have finite cell widths.
+POSITIVE = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1e154, 1e200, 1e300, 1e308,
+                     1.7e308, sys.float_info.max]),
+    st.floats(5e-324, sys.float_info.max))
+BREAKPOINTS = st.lists(st.one_of(st.integers(-16, 16).map(lambda k: k / 4),
+                                 st.floats(-8e307, 8e307)),
+                       min_size=2, max_size=6, unique=True).map(sorted)
+
+
+@st.composite
+def positive_step_functions(draw):
+    b = draw(BREAKPOINTS)
+    return StepFunction(b, draw(st.lists(POSITIVE, min_size=len(b) - 1,
+                                         max_size=len(b) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(u=StepFunction([3, 4], [1e200]), v=StepFunction([3, 4], [1.0]),
+         sites={10 ** 400: 1.0}, grids=[1e200] + [0.0] * 17, h=0.5, p=2.0)
+@given(u=positive_step_functions(), v=positive_step_functions(),
+       sites=st.dictionaries(st.integers(-40, 40), POSITIVE, max_size=8),
+       grids=st.lists(POSITIVE, min_size=18, max_size=18),
+       h=st.sampled_from([0.5, 1.0, 3.0, 1e100, 1e154]),
+       p=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_single_state_sums_match_their_formulas_through_finite_result(
+        u, v, sites, grids, h, p):
+    """lp_norm_pow, lp_distance_pow, spiral_weighted_mass and
+    grid_lp_distance give the bits, or the ValueError, of their formulas
+    through finite_result, and no warning."""
+    g, k = (GridFunction(1, h, np.reshape(x, (3, 3)))
+            for x in (grids[:9], grids[9:]))
+    lattice = LatticeFunction(sites)
+    for new, old, args in [(lp_norm_pow, old_lp_norm_pow, (u, p)),
+                           (lp_distance_pow, old_lp_distance_pow, (u, v, p)),
+                           (spiral_weighted_mass, old_spiral_weighted_mass,
+                            (lattice,)),
+                           (grid_lp_distance, old_grid_lp_distance,
+                            (g, k, p))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(new, *args)
+        assert got == outcome(old, *args)
+
+
 class TestGaps:
     def test_cavalieri_zero_on_dyadic(self):
         rng = random.Random(1)
@@ -180,6 +271,15 @@ class TestGaps:
         u = StepFunction.indicator(0, 2, 3.0)
         v = StepFunction.indicator(1, 4, 2.0)
         assert product_integral(u, v) == 6.0
+
+    def test_product_integral_beyond_the_float_range_is_an_error(self):
+        # 1e200 * 1e200 on [0, 1)
+        u = StepFunction([0, 1], [1e200])
+        v = StepFunction([0, 2], [1e200])
+        for f in (product_integral, hardy_littlewood_gap):
+            with pytest.raises(ValueError, match="^product integral "
+                               "overflows the float range$"):
+                f(u, v)
 
 
 class TestConvergeScheme:

@@ -434,8 +434,13 @@ class TestConverge:
         # Steiner symmetrization moves the second 1e308 to (1, 0), away
         # from its cell in the rearrangement: the L^1 sum is 2e308.
         ("1,0.5\n0,0,0\n1e308,1e308,0\n0,0,0\n", [], "L^p error"),
+        # two cells of width 1e308 where u and u* differ by 0.5
+        ("breakpoint,value\n6e307,0.5\n1.6e308,\n", [], "deviation measure"),
+        # two cells of measure h*h = 1e308 where u and u* differ by 0.1;
+        # the Gaussian weight at (1, 1) is exp(-2e308) = 0
+        ("1,1e154\n0,0,0\n0,0,0\n0,0,0.1\n", [], "deviation measure"),
     ], ids=["lattice-power", "lattice-sum", "step1d", "step1d-record",
-            "grid-power", "grid-sum"])
+            "grid-power", "grid-sum", "step1d-deviation", "grid-deviation"])
     def test_lp_error_beyond_the_float_range_is_exit_2(self, tmp_path, capsys,
                                                        text, args, what):
         src = tmp_path / "u.csv"

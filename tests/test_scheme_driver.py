@@ -50,7 +50,6 @@ from rearrange_lab.series import (
     ConvergenceRecord,
     ConvergenceSeries,
     _triangular_scheme,
-    finite_result,
 )
 from rearrange_lab.step1d import (
     StepFunction,
@@ -63,6 +62,7 @@ from rearrange_lab.step1d import (
     rearrange,
     sup_distance,
 )
+from test_analysis import finite_result
 from test_step1d import HALFSPACE, POINT, columns, decision_states
 
 SEEDS = (3, 17, 29, 101)
@@ -784,7 +784,8 @@ def per_state_rows(states, p, weight, eps):
                 (diff if p == 1 else diff ** p) * widths) ** (1.0 / p),
                 "L^p error"),
             mass, float(np.max(diff)) if diff.size else 0.0,
-            math.fsum(widths[diff > eps]))
+            finite_result(lambda: math.fsum(widths[diff > eps]),
+                          "deviation measure"))
         rows.append(previous)
     return rows
 
@@ -802,6 +803,10 @@ def _hex_rows(run):
 @settings(max_examples=200, deadline=None)
 @example(states=[StepFunction([10, 11], [1.5e308])] * 2, p=1.0,
          weight=RadialWeight.gaussian(), eps=0.01, block=1)
+# the L^p error (3e308) and the deviation measure (2e308) of one row
+# overflow; the L^p error's is the row's error
+@example(states=[StepFunction([6e307, 1.6e308], [1.5])] * 2, p=1.0,
+         weight=RadialWeight.triangular(16.0), eps=0.01, block=1)
 @given(states=walks(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
        weight=st.one_of(st.just(RadialWeight.gaussian()),
                         st.sampled_from([0.5, 16.0, 1e300]).map(

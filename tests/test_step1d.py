@@ -746,6 +746,13 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             deviation_measure(u, v, 0.0)
 
+    def test_deviation_measure_beyond_the_float_range_is_an_error(self):
+        # u and u* differ by 0.5 on two cells of width 1e308
+        u = StepFunction([6e307, 1.6e308], [0.5])
+        with pytest.raises(ValueError, match="^deviation measure overflows "
+                           "the float range$"):
+            deviation_measure(u, rearrange(u), 0.01)
+
 
 # The midpoint reads _abs_diff made before it read each cell at its left
 # end, verbatim, with the masked lookup of evaluate_many of then; kept as
