@@ -176,7 +176,8 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     state's merged grid with u*.  Each row checks, in order, its weighted
     mass and L^p norm against overflow, the L^p drift and the mass
     decrease (InvariantViolation), and then its L^p error, so the first
-    failing row in n order raises.
+    failing row in n order raises.  The start's row is computed alone,
+    before any polarization, where _start_may_fail says it may fail.
     """
     if order not in ("forward", "reversed"):
         raise ValueError("order must be 'forward' or 'reversed'")
@@ -188,9 +189,11 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
         weight = RadialWeight.triangular(16.0)
     # The schedule as columns.  _movers gives each new state; a Halfspace
     # is built only for polarize, which decides the entries _movers yields
-    # with no state: those that mirror the support beyond the float range.
+    # with no state: those that mirror the support beyond the float range,
+    # which _movers tests for once per state against reach.
     nu, d = schedule._columns(n_max)
     c = nu * d
+    reach = (float(c.min()), float(c.max()))
     target = rearrange(u)
     norm0 = lp_norm(u, p)   # ValueError unless p >= 1, before eps is checked
     check_scheme_parameters(p, eps)
@@ -221,7 +224,26 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
         u, range(n_max), n_max,
         lambda state, k: polarize(state, Halfspace.line(nu[k], d[k])),
         rows, target=target, reverse=order == "reversed",
-        movers=lambda state, upcoming: _movers(state, upcoming, nu, c))
+        movers=lambda state, upcoming: _movers(state, upcoming, nu, c, reach),
+        start_alone=_start_may_fail(u, p, weight))
+
+
+def _start_may_fail(u: StepFunction, p: float, weight: RadialWeight) -> bool:
+    """Whether a sum of the start's row may leave the float range, by a
+    test much cheaper than the row: its weighted mass, as weighted_mass
+    computes it, and a bound on its L^p error and deviation measure sums.
+    |u - u*| is at most max u, on cells of total width at most twice u's
+    span, so both sums are below 4 * max(1, max(u)**p) * span, rounding
+    included."""
+    if u.is_zero:
+        return False
+    try:
+        weighted_mass(u, weight)
+    except ValueError:
+        return True
+    b = u.breakpoints
+    scale = p * max(math.log2(float(u.values.max())), 0.0)
+    return scale + math.log2(float(b[-1] - b[0])) > 1020
 
 
 def converge_restricted(u: StepFunction, rho: float = 0.1, n_max: int = 200,

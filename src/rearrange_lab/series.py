@@ -1,13 +1,15 @@
-"""Per-iteration convergence records, and what the three engines' schemes
-share: the parameter check, the row formula, applied to a block of states
-at once, and the triangular driver.
+"""Per-iteration convergence records, kept run-length encoded as a
+ConvergenceSeries (one row per state change and the end of its run of
+repeated n), and what the three engines' schemes share: the parameter
+check, the row formula, applied to a block of states at once, and the
+triangular driver, which builds its series from the rows it computes
+with no record per repeated n.
 
 Also the lab's one overflow rule.  Every mass, norm, distance and row
 column is a sum taken by ``fsum``, ``fsums`` or ``power_sums``: numpy
 arithmetic runs quietly, with no warning, and a sum past the float range
-comes out inf (or nan).  ``finite(total, what)`` then turns a total that
-is not finite into a ValueError naming it, which the CLI reports with
-exit 2.
+comes out inf (or nan).  ``finite(total, what)`` then turns a total that is not finite into a
+ValueError naming it, which the CLI reports with exit 2.
 
 CSV layout: header ``n,lp_error,weighted_mass,sup_error,deviation_measure``,
 one row per recorded iteration (table rules in ``_textio``).
@@ -16,7 +18,9 @@ one row per recorded iteration (table rules in ``_textio``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,38 +35,100 @@ class ConvergenceRecord:
     sup_error: float
     deviation_measure: float
 
+    def _fields(self) -> tuple:
+        return (self.lp_error, self.weighted_mass, self.sup_error,
+                self.deviation_measure)
+
+    def _at(self, n: int) -> "ConvergenceRecord":
+        """This record with n in place of its own."""
+        return ConvergenceRecord(n, *self._fields())
+
 
 CSV_HEADER = "n,lp_error,weighted_mass,sup_error,deviation_measure"
 
 
-@dataclass(frozen=True)
 class ConvergenceSeries:
-    records: tuple
+    """The records of a run, n = 0 .. n_max, run-length encoded.
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
+    rows[i] is the record of outer step rows[i].n, and also, with only n
+    changed, of every outer step after it up to ends[i], exclusive: one
+    row per state change, since an outer step that ends on the same state
+    repeats the previous row.  ConvergenceSeries(records) holds any
+    records, each a run of one; ``_runs`` builds a series from rows and
+    ends.  Either way the series reads as the tuple of its records
+    (``records``): len, indexing, iteration, final, weighted_masses,
+    == and hash, and the CSV text, which formats each row's floats once
+    and builds no record per n."""
+
+    __slots__ = ("rows", "ends", "_starts")
+
+    def __init__(self, records=()):
+        rows = tuple(records)
+        self._set(rows, [r.n + 1 for r in rows])
+
+    @classmethod
+    def _runs(cls, rows, ends) -> "ConvergenceSeries":
+        """The series whose row rows[i] repeats up to ends[i], exclusive;
+        each end is above its row's n."""
+        out = cls.__new__(cls)
+        out._set(tuple(rows), ends)
+        return out
+
+    def _set(self, rows, ends):
+        self.rows, self.ends = rows, tuple(ends)
+        # the position of each row's record in the series, and the length
+        self._starts = [0, *accumulate(e - r.n for r, e in zip(rows, ends))]
 
     def __len__(self):
-        return len(self.records)
+        return self._starts[-1]
 
     def __iter__(self):
-        return iter(self.records)
+        for row, end in zip(self.rows, self.ends):
+            yield row
+            yield from map(row._at, range(row.n + 1, end))
 
     def __getitem__(self, i):
-        return self.records[i]
+        if isinstance(i, slice):
+            return self.records[i]
+        i = range(len(self))[i]   # a negative i counts from the end
+        j = bisect_right(self._starts, i) - 1
+        row, offset = self.rows[j], i - self._starts[j]
+        return row._at(row.n + offset) if offset else row
+
+    @property
+    def records(self) -> tuple:
+        return tuple(self)
 
     @property
     def final(self) -> ConvergenceRecord:
-        return self.records[-1]
+        return self[-1]
 
     def weighted_masses(self) -> list[float]:
-        return [r.weighted_mass for r in self.records]
+        return [mass for row, end in zip(self.rows, self.ends)
+                for mass in [row.weighted_mass] * (end - row.n)]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self):
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"ConvergenceSeries(records={self.records!r})"
 
     def dumps(self) -> str:
-        rows = [(r.n, r.lp_error, r.weighted_mass, r.sup_error,
-                 r.deviation_measure) for r in self.records]
-        return _textio.dumps(CSV_HEADER, (int, float, float, float, float),
-                             zip(*rows))
+        """The CSV text: each row's four floats are formatted once, and
+        each record of its run gets its own n before them."""
+        columns = zip(*[row._fields() for row in self.rows])
+        texts = zip(*[_textio._texts(float, column) for column in columns])
+        lines = [CSV_HEADER]
+        for row, end, fields in zip(self.rows, self.ends, texts):
+            tail = "," + ",".join(fields)
+            lines.append((tail + "\n").join(map(str, range(row.n, end)))
+                         + tail)
+        return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
         _textio.write_text(path, self.dumps())
@@ -158,7 +224,8 @@ _BLOCK = 64
 
 
 def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
-                       reverse=False, movers=None) -> ConvergenceSeries:
+                       reverse=False, movers=None,
+                       start_alone=False) -> ConvergenceSeries:
     """Triangular scheme: outer step n applies steps[k % len(steps)] for
     k = 0 .. n-1 (n-1 .. 0 if reverse), and its row measures the state it
     ends on.  Once an outer step ends on the state target, no step is
@@ -181,9 +248,13 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
     state, where previous is the row before the block (None for the
     first).  It asks when _BLOCK states are pending, when the run ends,
     and before an error from apply or movers propagates, so that the
-    first failing row in n order raises first.  An outer step that ends
-    on the identical state repeats the previous row with its own n.  Both
-    give the rows of the naive loop."""
+    first failing row in n order raises first; with start_alone, also for
+    the start's row alone, before any step is applied, so that a start
+    whose row fails raises at once.  An outer step that ends on the
+    identical state repeats the previous row with its own n: the series
+    returned holds each computed row with the end of its run
+    (ConvergenceSeries._runs), up to n_max.  Both give the rows of the
+    naive loop."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     records = []
@@ -212,6 +283,8 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
                 flush()
         n = until
 
+    if start_alone:   # the start's row may raise: before any step
+        flush()
     resume = (1, 0)   # outer step and position of the next application
     try:
         while not done:
@@ -235,11 +308,8 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
         flush()   # an earlier row's error comes first
         raise
     flush()
-    ends = [r.n for r in records[1:]] + [n_max + 1]
-    return ConvergenceSeries(
-        r if m == r.n else ConvergenceRecord(
-            m, r.lp_error, r.weighted_mass, r.sup_error, r.deviation_measure)
-        for r, end in zip(records, ends) for m in range(r.n, end))
+    return ConvergenceSeries._runs(
+        records, [r.n for r in records[1:]] + [n_max + 1])
 
 
 def _upcoming(n, q, n_max, size, reverse):

@@ -12,6 +12,7 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -135,21 +136,20 @@ def _run_edges(a: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _mirrored_cells(b: np.ndarray, padded: np.ndarray, nu, c):
+def _mirrored_cells(b: np.ndarray, padded: np.ndarray, c):
     """The sorted grid of the breakpoints b and their mirror images across
-    c, the polarized value on each of its cells, and which cells move: a
-    cell of positive width whose polarized value differs from u there.
+    the boundary point c, u on each of its cells, and u on each cell's
+    mirror.
 
-    nu and c give the halfspace {x : nu*x <= nu*c}, whose boundary point c
-    mirrors x to 2c - x: scalars for one halfspace, or columns of shape
-    (k, 1) for a chunk of k, one grid per row.  u(x) is padded[count of
-    breakpoints <= x], 0 outside the support.  u is read once, at each
-    cell's left end, and each cell's mirror by index, at no midpoint: in
-    exact arithmetic the grid of N = 2*len(b) points is symmetric about c,
-    so cell k mirrors to cell N - 2 - k.  The cells k < len(b) - 1 lie
-    below c, those past the middle one above it, and the middle one
-    mirrors to itself; the larger of a cell's value and its mirror's goes
-    to the h side.  The sort is stable over (mirror images, breakpoints),
+    c is a scalar for one halfspace, or a column of shape (k, 1) for a
+    chunk of k, one grid per row; the mirror of x is 2c - x.  u(x) is
+    padded[count of breakpoints <= x], 0 outside the support.  u is read
+    once, at each cell's left end, and each cell's mirror by index, at no
+    midpoint: in exact arithmetic the grid of N = 2*len(b) points is
+    symmetric about c, so cell k mirrors to cell N - 2 - k, and u there is
+    the cell values reversed.  The cells k < len(b) - 1 lie below c, those
+    past the middle one above it, and the middle one mirrors to itself
+    (``_sides``).  The sort is stable over (mirror images, breakpoints),
     so a mirror image equal to a breakpoint closes a zero-width cell and
     the next cell starts at u's own breakpoint; the zero-width cells mirror
     to each other too.  Where images round, the float order is the exact
@@ -159,13 +159,26 @@ def _mirrored_cells(b: np.ndarray, padded: np.ndarray, nu, c):
     grid[..., :b.size] = mirrors
     grid[..., b.size:] = b
     grid.sort(kind="stable")
-    lo, hi = grid[..., :-1], grid[..., 1:]
-    a = padded[b.searchsorted(lo, side="right")]
-    r = a[..., ::-1]
-    in_h = (np.arange(2 * b.size - 1) < b.size - 1) == (nu > 0)
-    val = np.where(in_h == (a >= r), a, r)
-    moved = (val != a) & (hi > lo)
-    return grid, val, moved
+    a = padded[b.searchsorted(grid[..., :-1], side="right")]
+    return grid, a, a[..., ::-1]
+
+
+@lru_cache(maxsize=64)
+def _sides(size: int) -> np.ndarray:
+    """+1 on the cells of a mirrored grid of 2*size points that lie below
+    its middle, and -1 on the rest, read-only.  Times nu, the sign of the
+    halfspace {x : nu*x <= nu*c}, it is +1 on the cells in the halfspace."""
+    side = np.full(2 * size - 1, -1.0)
+    side[:size - 1] = 1.0
+    side.setflags(write=False)
+    return side
+
+
+def _polarized(a: np.ndarray, r: np.ndarray, signs) -> np.ndarray:
+    """The polarized value on each cell, from u there (a) and on its
+    mirror (r): the larger of the two on the cells where signs > 0, the
+    halfspace's side, and the smaller on the others."""
+    return np.where((signs > 0) == (a >= r), a, r)
 
 
 def _padded(u: StepFunction) -> np.ndarray:
@@ -206,9 +219,11 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
             return u
         raise ValueError("the mirror image of the support across "
                          f"{h.encode()} is beyond the float range")
-    grid, val, moved = _mirrored_cells(u.breakpoints, _padded(u), nu, c)
-    # u is constant on each cell, so the result is u unless a cell moves
-    if not moved.any():
+    grid, a, r = _mirrored_cells(u.breakpoints, _padded(u), c)
+    val = _polarized(a, r, nu * _sides(u.breakpoints.size))
+    # u is constant on each cell, so the result is u unless a cell of
+    # positive width changes its value
+    if not ((val != a) & (grid[1:] > grid[:-1])).any():
         return u
     return _assemble(grid, val)
 
@@ -227,26 +242,35 @@ def _assemble(grid: np.ndarray, val: np.ndarray) -> StepFunction:
 _PASS_CELLS = 1 << 12
 
 
-def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray):
+def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray,
+            reach: tuple[float, float]):
     """The entries (outer step, position, index, state) of entries, in
     order, whose halfspace h polarize(u, h) may not return u for, each
     with polarize(u, h) as its state.  An entry's index is h's row in the
     columns nu (the signs) and c (the boundary points): h = {x : nu*x <=
-    nu*c}; the state an entry comes with is ignored.
+    nu*c}; the state an entry comes with is ignored.  reach is (min c,
+    max c), or any interval that holds the boundary points of entries.
 
     Decides chunks of entries that double from eight, one numpy pass each
-    through polarize's own kernel, _mirrored_cells, as polarize does: a
-    halfspace moves u when some cell moves, and its row of the pass gives
-    the new state, assembled only when the entry is yielded.  A chunk
-    holds at most _PASS_CELLS // len(breakpoints) halfspaces, and at
-    least one.  A halfspace that mirrors the support beyond the float
-    range is yielded with state None, so that polarize decides it and
-    raises where it must."""
+    over the cells of polarize's kernel, _mirrored_cells: a halfspace
+    moves u when a cell of positive width holds a value u has less of
+    than its mirror on the halfspace's side, or more of on the other:
+    (a - r) * side * nu < 0, with side from _sides, built once per state.
+    The polarized values of the moving row are computed, and the new
+    state assembled, only when the entry is yielded; the state is
+    polarize's.  A chunk holds at most _PASS_CELLS // len(breakpoints)
+    halfspaces, and at least one.  A halfspace that mirrors the support
+    beyond the float range is yielded with state None, so that polarize
+    decides it and raises where it must; the rows are tested for it one
+    by one only when some boundary point in reach may mirror the support
+    that far."""
     if u.is_zero:
         return
     b = u.breakpoints
     b0, b1 = b[[0, -1]].tolist()
     padded = _padded(u)
+    side = _sides(b.size)
+    may_escape = _escapes(b0, b1, *reach)
     cap = max(1, _PASS_CELLS // b.size)
     size = min(8, cap)
     entries = iter(entries)
@@ -255,18 +279,19 @@ def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray):
         nus = nu[ks][:, None]
         cs = c[ks][:, None]
         escaping = []   # the rows whose mirror images escape
-        if _escapes(b0, b1, float(cs.min()), float(cs.max())):
+        if may_escape:
             escaping = [i for i, x in enumerate(cs[:, 0].tolist())
                         if _escapes(b0, b1, x, x)]
             # c = 0 there keeps the kernel's arithmetic finite
             cs[escaping] = 0.0
-        grid, val, moved = _mirrored_cells(b, padded, nus, cs)
-        moves = moved.any(axis=1)
+        grid, a, r = _mirrored_cells(b, padded, cs)
+        moves = (((a - r) * side * nus < 0)
+                 & (grid[:, 1:] > grid[:, :-1])).any(axis=1)
         moves[escaping] = True
         for i in moves.nonzero()[0].tolist():
             m, q, k, _ = chunk[i]
-            yield m, q, k, (None if i in escaping
-                            else _assemble(grid[i], val[i]))
+            yield m, q, k, (None if i in escaping else _assemble(
+                grid[i], _polarized(a[i], r[i], side * nus[i])))
         size = min(2 * size, cap)
 
 
@@ -392,10 +417,20 @@ def merged_grid(u: StepFunction, v: StepFunction) -> np.ndarray:
 def _merged_cells(u: StepFunction, v: StepFunction):
     """u and v on the cells of the merged breakpoint grid, and the cell
     widths; all empty when u = v = 0.  No breakpoint lies inside a cell, so
-    u and v are read at its left end, as polarize reads a cell."""
+    u and v are read at its left end, as polarize reads a cell.
+
+    Where the supports lie near opposite ends of the float range, a cell
+    between them can be wider than the largest double.  u = v = 0 there,
+    so every term of such a cell is zero, whatever its width: its width
+    is computed quietly, as inf, and the cell is left out."""
     grid = merged_grid(u, v)
     lo = grid[:-1]
-    return u.evaluate_many(lo), v.evaluate_many(lo), grid[1:] - lo
+    a, b = u.evaluate_many(lo), v.evaluate_many(lo)
+    if grid.size and math.isinf(float(grid[-1]) - float(grid[0])):
+        with np.errstate(over="ignore"):
+            kept = grid[1:] - lo < math.inf
+        return a[kept], b[kept], grid[1:][kept] - lo[kept]
+    return a, b, grid[1:] - lo
 
 
 def _abs_diff(u: StepFunction, v: StepFunction):

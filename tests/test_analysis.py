@@ -281,6 +281,16 @@ class TestGaps:
                                "overflows the float range$"):
                 f(u, v)
 
+    def test_product_integral_across_a_cell_wider_than_the_float_range(self):
+        # the cell between the supports is wider than the largest double,
+        # and u = v = 0 on it, so its term is 0
+        u = StepFunction([-1.7e308, -1.6e308], [1.0])
+        v = StepFunction([1.6e308, 1.7e308], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert product_integral(u, v) == 0.0
+            assert product_integral(u, u) == -1.6e308 - -1.7e308
+
 
 class TestConvergeScheme:
     def test_indicator_run_matches_known_profile(self):

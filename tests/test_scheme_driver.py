@@ -9,6 +9,7 @@ CSV bytes must agree exactly.
 import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -359,8 +360,8 @@ def naive_scheme(start, steps, n_max, apply, record, target=None,
 
 def movers_of(steps):
     """_movers on indices into steps, as converge_scheme asks it."""
-    nu, c = columns(steps)
-    return lambda u, upcoming: _movers(u, upcoming, nu, c)
+    nu, c, reach = columns(steps)
+    return lambda u, upcoming: _movers(u, upcoming, nu, c, reach)
 
 
 def adopting(movers, log):
@@ -505,9 +506,9 @@ def test_polarize_runs_once_per_state_change(monkeypatch):
         assembled.append(assemble(grid, val))
         return assembled[-1]
 
-    def asking(state, entries, nu, c):
+    def asking(state, entries, *schedule):
         asked.append(state)
-        return _movers(state, entries, nu, c)
+        return _movers(state, entries, *schedule)
 
     def counting_polarize(state, h):
         calls.append(h)
@@ -589,10 +590,10 @@ def _shift_right(state):
     return StepFunction(state.breakpoints + 4.0, state.values)
 
 
-def _shifting_movers(state, entries, nu, c):
+def _shifting_movers(state, entries, *schedule):
     """_movers, with _shift_right(state) as the state of each entry: the
     look-ahead pass is where the 1-D scheme takes its new states from."""
-    for m, q, k, _ in _movers(state, entries, nu, c):
+    for m, q, k, _ in _movers(state, entries, *schedule):
         yield m, q, k, _shift_right(state)
 
 
@@ -834,3 +835,62 @@ def test_block_rows_match_the_per_state_functions(states, p, weight, eps,
             movers=walking(states[1:])))
         want = _hex_rows(lambda: per_state_rows(states, **kwargs))
     assert got == want
+
+
+# -- the start's row ---------------------------------------------------------
+
+
+def _stalled_draw_scaled(norm):
+    """A draw whose run stalls, with its values scaled to L^1 norm norm."""
+    u = generators.random_step_function(random.Random(11), span=1.0)
+    return StepFunction(u.breakpoints, u.values * (norm / lp_norm(u, 1)))
+
+
+@pytest.mark.parametrize("u, weight, what", [
+    # the triangular mass of an L^1 norm of 1.2e308 is about 1.9e309
+    (_stalled_draw_scaled(1.2e308), RadialWeight.triangular(16.0),
+     "weighted mass"),
+    # the distance of u to u* on [-0.5, 0.5) is 3e308
+    (StepFunction([10, 11], [1.5e308]), RadialWeight.gaussian(),
+     "L^p error"),
+], ids=["weighted-mass", "lp-error"])
+def test_the_start_row_fails_before_any_polarization(monkeypatch, u, weight,
+                                                     what):
+    asked = []
+    monkeypatch.setattr(analysis, "_movers",
+                        lambda *args: asked.append(args) or iter(()))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{what} overflows the float range")):
+        converge_restricted(u, rho=0.1, n_max=20_000, weight=weight)
+    assert asked == []
+
+
+@settings(max_examples=200, deadline=None)
+@example(u=StepFunction([0, 1], [1e308]), p=1.0,
+         weight=RadialWeight.gaussian(), eps=0.01)   # flushed, and passes
+@example(u=StepFunction([10, 11], [1.5e308]), p=1.0,
+         weight=RadialWeight.gaussian(), eps=0.01)   # flushed, and fails
+@given(u=step_functions(POINT), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       weight=st.one_of(st.just(RadialWeight.gaussian()),
+                        st.sampled_from([0.5, 16.0, 1e300]).map(
+                            RadialWeight.triangular)),
+       eps=st.sampled_from([0.01, 1.0, 1e308]))
+def test_the_start_row_is_flushed_alone_wherever_it_may_fail(u, p, weight,
+                                                             eps):
+    """converge_scheme's cheap test flags every start whose row 0 fails,
+    and flushing the start's row alone changes no row and no error."""
+    try:
+        rearrange(u), lp_norm(u, p)
+    except ValueError:   # the scheme fails before its first row
+        reject()
+    with np.errstate(all="ignore"):   # a nan term is the row's error
+        row0 = _hex_rows(lambda: per_state_rows([u], p, weight, eps))
+    if isinstance(row0, tuple):
+        assert analysis._start_may_fail(u, p, weight)
+    runs = []
+    for alone in (False, True):
+        with mock.patch.object(analysis, "_start_may_fail",
+                               lambda *args: alone):
+            runs.append(_hex_rows(lambda: converge_scheme(
+                u, n_max=8, p=p, weight=weight, eps=eps)))
+    assert runs[0] == runs[1]

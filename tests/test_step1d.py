@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
@@ -179,22 +180,27 @@ class TestPolarize:
 
 
 def columns(halfspaces):
-    """The sign and boundary-point columns of 1-D halfspaces, the form in
-    which _movers takes them."""
+    """The sign and boundary-point columns of 1-D halfspaces, and the range
+    of the boundary points, the form in which _movers takes them."""
     nu = np.array([h.normal[0] for h in halfspaces])
-    return nu, nu * np.array([h.offset for h in halfspaces])
+    c = nu * np.array([h.offset for h in halfspaces])
+    return nu, c, (min(c.tolist(), default=0.0), max(c.tolist(), default=0.0))
 
 
-def movers(u, halfspaces):
+def movers(u, halfspaces, wide=False):
     """The positions in halfspaces that _movers yields on u."""
-    return [k for _, _, k, _ in moving_states(u, halfspaces)]
+    return [k for _, _, k, _ in moving_states(u, halfspaces, wide)]
 
 
-def moving_states(u, halfspaces):
+def moving_states(u, halfspaces, wide=False):
     """The entries (outer step, position, index, state) that _movers
-    yields on u, for entries at the positions in halfspaces."""
+    yields on u, for entries at the positions in halfspaces; given the
+    whole float range as the range of the boundary points when wide."""
     entries = [(1, 0, k, None) for k in range(len(halfspaces))]
-    return list(_movers(u, entries, *columns(halfspaces)))
+    nu, c, reach = columns(halfspaces)
+    if wide:
+        reach = (-1.7976931348623157e308, 1.7976931348623157e308)
+    return list(_movers(u, entries, nu, c, reach))
 
 
 def first_mover(u, halfspaces):
@@ -276,10 +282,28 @@ class TestFirstMover:
         assert (first_mover(u, halfspaces)
                 == scalar_first_mover(u, halfspaces))
 
-    @given(decision_states(), st.lists(HALFSPACE, max_size=40))
-    @settings(max_examples=200, deadline=None)
-    def test_yields_every_mover_in_order(self, u, halfspaces):
-        assert movers(u, halfspaces) == scalar_movers(u, halfspaces)
+    @given(decision_states(), st.lists(HALFSPACE, max_size=40),
+           st.booleans())
+    @example(StepFunction([-0.0, 5e-324, 0.5], [1.0, 3.0]),
+             [Halfspace.line(1, 0.0), Halfspace.line(-1, -0.0),
+              Halfspace.line(-1, 5e-324), Halfspace.line(1, -5e-324),
+              Halfspace.line(1, 1e308), Halfspace.line(1, 0.25)], False)
+    @example(StepFunction([1e308, 1.25e308, 1.7e308], [1.0, 2.0]),
+             [Halfspace.line(1, 8.5e307), Halfspace.line(-1, -8.5e307),
+              Halfspace.line(1, -1e308), Halfspace.line(-1, 0.0),
+              Halfspace.line(1, 1.25e308)], False)
+    @example(StepFunction([-1.7e308, -1e308], [2.0]),
+             [Halfspace.line(-1, 1e308), Halfspace.line(1, -1e308),
+              Halfspace.line(1, 0.0)], True)
+    @settings(max_examples=300, deadline=None)
+    def test_yields_every_mover_in_order(self, u, halfspaces, wide):
+        """The pass yields exactly the halfspaces h for which polarize(u,
+        h) is not u, and those that mirror the support beyond the float
+        range (polarize then returns u or raises).  The range of boundary
+        points _movers gets is theirs, or the whole float range, where
+        every chunk tests its rows for an escape."""
+        assert (movers(u, halfspaces, wide)
+                == scalar_movers(u, halfspaces))
 
     def test_bounded_passes_match_scalar_scan(self, monkeypatch):
         # Two halfspaces per pass on these inputs, so a mover sits in a
@@ -309,9 +333,9 @@ class TestFirstMover:
         rows = []
         kernel = step1d._mirrored_cells
 
-        def counting(b, padded, nu, c):
-            rows.append(np.size(nu))   # one row per halfspace
-            return kernel(b, padded, nu, c)
+        def counting(b, padded, c):
+            rows.append(np.size(c))   # one row per halfspace
+            return kernel(b, padded, c)
 
         monkeypatch.setattr(step1d, "_mirrored_cells", counting)
         halfspaces = Schedule(1, rho=1.0).first(40)
@@ -804,6 +828,28 @@ class TestMergedCells:
         # lo + hi overflows here; the distance is the support's width
         u = StepFunction([1.5e308, 1.7e308], [1.0])
         assert lp_distance(u, StepFunction.zero(), 1) == 1.7e308 - 1.5e308
+
+    # Supports near opposite ends of the float range: the cell between them
+    # is wider than the largest double, and u = v = 0 on it.
+    FAR_APART = (StepFunction([-1.7e308, -1.6e308], [1.0]),
+                 StepFunction([1.6e308, 1.7e308], [1.0]))
+    OUTER_WIDTHS = [-1.6e308 - -1.7e308, 1.7e308 - 1.6e308]
+
+    def test_lp_distance_across_a_cell_wider_than_the_float_range(self):
+        u, v = self.FAR_APART
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (1, 2):   # about 2e307 at either p
+                assert (step1d.lp_distance_pow(u, v, p)
+                        == math.fsum(self.OUTER_WIDTHS))
+
+    def test_deviation_measure_across_a_cell_wider_than_the_float_range(
+            self):
+        u, v = self.FAR_APART
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (deviation_measure(u, v, 0.5)
+                    == math.fsum(self.OUTER_WIDTHS))
 
     def test_zero_functions(self):
         zero = StepFunction.zero()
