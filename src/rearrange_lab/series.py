@@ -62,7 +62,7 @@ class ConvergenceSeries:
 
     __slots__ = ("rows", "ends", "_starts")
 
-    def __init__(self, records=()):
+    def __init__(self, records):
         rows = tuple(records)
         self._set(rows, [r.n + 1 for r in rows])
 

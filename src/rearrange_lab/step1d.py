@@ -428,8 +428,9 @@ def _merged_cells(u: StepFunction, v: StepFunction):
     a, b = u.evaluate_many(lo), v.evaluate_many(lo)
     if grid.size and math.isinf(float(grid[-1]) - float(grid[0])):
         with np.errstate(over="ignore"):
-            kept = grid[1:] - lo < math.inf
-        return a[kept], b[kept], grid[1:][kept] - lo[kept]
+            widths = grid[1:] - lo
+        kept = widths < math.inf
+        return a[kept], b[kept], widths[kept]
     return a, b, grid[1:] - lo
 
 
