@@ -12,7 +12,6 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -163,14 +162,12 @@ def _mirrored_cells(b: np.ndarray, padded: np.ndarray, c):
     return grid, a, a[..., ::-1]
 
 
-@lru_cache(maxsize=64)
-def _sides(size: int) -> np.ndarray:
-    """+1 on the cells of a mirrored grid of 2*size points that lie below
-    its middle, and -1 on the rest, read-only.  Times nu, the sign of the
-    halfspace {x : nu*x <= nu*c}, it is +1 on the cells in the halfspace."""
-    side = np.full(2 * size - 1, -1.0)
-    side[:size - 1] = 1.0
-    side.setflags(write=False)
+def _sides(size: int, nu: float) -> np.ndarray:
+    """nu on the cells of a mirrored grid of 2*size points that lie below
+    its middle, and -nu on the rest: positive exactly on the cells in the
+    halfspace {x : nu*x <= nu*c}, nu = +1 or -1."""
+    side = np.full(2 * size - 1, -nu)
+    side[:size - 1] = nu
     return side
 
 
@@ -220,7 +217,7 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
         raise ValueError("the mirror image of the support across "
                          f"{h.encode()} is beyond the float range")
     grid, a, r = _mirrored_cells(u.breakpoints, _padded(u), c)
-    val = _polarized(a, r, nu * _sides(u.breakpoints.size))
+    val = _polarized(a, r, _sides(u.breakpoints.size, nu))
     # u is constant on each cell, so the result is u unless a cell of
     # positive width changes its value
     if not ((val != a) & (grid[1:] > grid[:-1])).any():
@@ -255,7 +252,8 @@ def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray,
     over the cells of polarize's kernel, _mirrored_cells: a halfspace
     moves u when a cell of positive width holds a value u has less of
     than its mirror on the halfspace's side, or more of on the other:
-    (a - r) * side * nu < 0, with side from _sides, built once per state.
+    (a - r) * side * nu < 0, with side = _sides(len(b), 1), built once
+    per state.
     The polarized values of the moving row are computed, and the new
     state assembled, only when the entry is yielded; the state is
     polarize's.  A chunk holds at most _PASS_CELLS // len(breakpoints)
@@ -269,7 +267,7 @@ def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray,
     b = u.breakpoints
     b0, b1 = b[[0, -1]].tolist()
     padded = _padded(u)
-    side = _sides(b.size)
+    side = _sides(b.size, 1.0)
     may_escape = _escapes(b0, b1, *reach)
     cap = max(1, _PASS_CELLS // b.size)
     size = min(8, cap)
