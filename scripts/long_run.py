@@ -5,7 +5,7 @@ The run is converge_restricted(u, rho=0.1, n_max=N) on a stalled draw,
 u = random_step_function(random.Random(11), span=1.0), whose state never
 reaches its rearrangement.  The row gives N, the run's wall time, the
 wall time of ConvergenceSeries.dumps on its series, the process's peak
-resident set size and the final L^1 error:
+resident set size before dumps and after it, and the final L^1 error:
 
     python3 scripts/long_run.py N
 
@@ -35,12 +35,17 @@ def main(argv: list[str]) -> None:
     start = time.perf_counter()
     series = analysis.converge_restricted(u, rho=0.1, n_max=n_max)
     run = time.perf_counter() - start
+    run_mb = _peak_mb()
     start = time.perf_counter()
     series.dumps()
     dumps = time.perf_counter() - start
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"| {n_max} | {run:.2f} s | {dumps:.2f} s | {peak_mb:.0f} MB "
-          f"| {series.final.lp_error:.2g} |")
+    print(f"| {n_max} | {run:.2f} s | {dumps:.2f} s | {run_mb:.0f} MB "
+          f"| {_peak_mb():.0f} MB | {series.final.lp_error:.2g} |")
+
+
+def _peak_mb() -> float:
+    """The process's peak resident set size so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 if __name__ == "__main__":

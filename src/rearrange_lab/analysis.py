@@ -165,9 +165,10 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     rearrangement.
 
     Row n=0 records the starting function; row n the state after applying
-    H_1 .. H_n (or the reversed order) to the previous state.  Once the
-    state equals the rearrangement exactly it is invariant under every
-    remaining halfspace and the loop short-circuits.
+    H_1 .. H_n (or the reversed order) to the previous state.  Once an
+    outer step ends on the rearrangement exactly, no halfspace is applied
+    again: from a state equal to it, the driver lists only the rest of
+    the outer step under way, and _movers scans nothing past it.
 
     The driver asks for the rows of the new states in blocks.  A block's
     inputs take a few numpy calls each, over all its states at once

@@ -236,11 +236,15 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
     same state and step.  From each new state the driver lists the
     applications the naive loop makes next (``_upcoming``, as entries
     (outer step, position, index, None)) and applies them in order until
-    one returns a new state.  When given, movers(state, upcoming) filters
-    those entries: it yields, in order, the entries of upcoming whose
-    step apply may change state with, and only those are taken.  An entry
-    it yields with a state in place of None is that step's result, which
-    the driver adopts without calling apply; the others reach apply.
+    one returns a new state.  The listing holds the stop rule: from a
+    state equal to target it ends with the outer step under way (the
+    start ends outer step 0), so the state may still leave target within
+    that step, and a step that ends on target is the last one applied.
+    When given, movers(state, upcoming) filters those entries: it yields,
+    in order, the entries of upcoming whose step apply may change state
+    with, and only those are taken.  An entry it yields with a state in
+    place of None is that step's result, which the driver adopts without
+    calling apply; the others reach apply.
 
     Rows are computed per state change, in blocks: the driver keeps each
     outer step that ends on a new state, the start included, and asks
@@ -260,7 +264,6 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
     records = []
     ns, states = [0], [start]   # the new states whose rows are pending
     current = before = start
-    done = target is not None and current == target
     n = 1   # the outer step under way
 
     def flush():
@@ -273,29 +276,31 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
 
     def finish(until):
         """End the outer steps n .. until-1 on the current state."""
-        nonlocal n, before, done
+        nonlocal n, before
         if current is not before:
             ns.append(n)
             states.append(current)
             before = current
-            done = target is not None and current == target
             if len(states) == _BLOCK:
                 flush()
         n = until
 
     if start_alone:   # the start's row may raise: before any step
         flush()
-    resume = (1, 0)   # outer step and position of the next application
+    # outer step and position of the next application; the start ends
+    # outer step 0
+    resume = (0, 0)
     try:
-        while not done:
-            upcoming = _upcoming(*resume, n_max, len(steps), reverse)
+        while True:
+            # from target, only the rest of the step under way is applied
+            last = (resume[0] if target is not None and current == target
+                    else n_max)
+            upcoming = _upcoming(*resume, last, len(steps), reverse)
             if movers is not None:
                 upcoming = movers(current, upcoming)
             for m, q, k, out in upcoming:
                 if m > n:
                     finish(m)
-                    if done:
-                        break
                 if out is None:
                     out = apply(current, steps[k])
                 if out is not current:
@@ -312,23 +317,22 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
         records, [r.n for r in records[1:]] + [n_max + 1])
 
 
-def _upcoming(n, q, n_max, size, reverse):
+def _upcoming(n, q, last, size, reverse):
     """(outer step, position, index, None) of the applications the naive
-    loop makes from position q of outer step n on, while the state stays
-    the same; None stands for the result, not known yet.  Each index is
-    listed at its first appearance only: a repeat on the same state gives
-    the same no-op.  That is the rest of step n, all of step n + 1, and
-    then the one new index m - 1 of each later step m."""
+    loop makes from position q of outer step n through outer step last,
+    while the state stays the same; None stands for the result, not known
+    yet.  Each index is listed at its first appearance only: a repeat on
+    the same state gives the same no-op.  That is the rest of step n, all
+    of step n + 1, and then the one new index m - 1 of each later step m
+    up to size: step m - 1 applied every index below m - 1."""
     seen = set()
-    for m in range(n, n_max + 1):
-        if m <= n + 1:
-            positions = range(q if m == n else 0, m)
-        else:   # step m - 1 applied every index below m - 1
-            positions = (0 if reverse else m - 1,)
-        for pos in positions:
+    for m in range(n, min(n + 1, last) + 1):
+        first = q if m == n else 0
+        # a position size or more after the first repeats an index
+        for pos in range(first, min(m, first + size)):
             k = (m - 1 - pos if reverse else pos) % size
             if k not in seen:
                 seen.add(k)
                 yield m, pos, k, None
-        if len(seen) == size:
-            return
+    for m in range(n + 2, min(last, size) + 1):
+        yield m, 0 if reverse else m - 1, m - 1, None

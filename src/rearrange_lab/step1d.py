@@ -178,6 +178,15 @@ def _polarized(a: np.ndarray, r: np.ndarray, signs) -> np.ndarray:
     return np.where((signs > 0) == (a >= r), a, r)
 
 
+def _moving(grid: np.ndarray, a: np.ndarray, r: np.ndarray,
+            signs) -> np.ndarray:
+    """The cells of positive width that polarizing changes: those where u
+    (a) is less than on the mirror (r) on the halfspace's side, signs > 0,
+    or more on the other.  u is constant on each cell, so the result is u
+    unless some cell moves."""
+    return ((a - r) * signs < 0) & (grid[..., 1:] > grid[..., :-1])
+
+
 def _padded(u: StepFunction) -> np.ndarray:
     padded = np.zeros(u.values.size + 2)
     padded[1:-1] = u.values
@@ -217,12 +226,10 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
         raise ValueError("the mirror image of the support across "
                          f"{h.encode()} is beyond the float range")
     grid, a, r = _mirrored_cells(u.breakpoints, _padded(u), c)
-    val = _polarized(a, r, _sides(u.breakpoints.size, nu))
-    # u is constant on each cell, so the result is u unless a cell of
-    # positive width changes its value
-    if not ((val != a) & (grid[1:] > grid[:-1])).any():
+    signs = _sides(u.breakpoints.size, nu)
+    if not _moving(grid, a, r, signs).any():
         return u
-    return _assemble(grid, val)
+    return _assemble(grid, _polarized(a, r, signs))
 
 
 def _assemble(grid: np.ndarray, val: np.ndarray) -> StepFunction:
@@ -250,10 +257,8 @@ def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray,
 
     Decides chunks of entries that double from eight, one numpy pass each
     over the cells of polarize's kernel, _mirrored_cells: a halfspace
-    moves u when a cell of positive width holds a value u has less of
-    than its mirror on the halfspace's side, or more of on the other:
-    (a - r) * side * nu < 0, with side = _sides(len(b), 1), built once
-    per state.
+    moves u when some cell moves (_moving, polarize's rule), with the
+    signs side * nu and side = _sides(len(b), 1), built once per state.
     The polarized values of the moving row are computed, and the new
     state assembled, only when the entry is yielded; the state is
     polarize's.  A chunk holds at most _PASS_CELLS // len(breakpoints)
@@ -283,13 +288,13 @@ def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray,
             # c = 0 there keeps the kernel's arithmetic finite
             cs[escaping] = 0.0
         grid, a, r = _mirrored_cells(b, padded, cs)
-        moves = (((a - r) * side * nus < 0)
-                 & (grid[:, 1:] > grid[:, :-1])).any(axis=1)
+        signs = side * nus
+        moves = _moving(grid, a, r, signs).any(axis=1)
         moves[escaping] = True
         for i in moves.nonzero()[0].tolist():
             m, q, k, _ = chunk[i]
             yield m, q, k, (None if i in escaping else _assemble(
-                grid[i], _polarized(a[i], r[i], side * nus[i])))
+                grid[i], _polarized(a[i], r[i], signs[i])))
         size = min(2 * size, cap)
 
 

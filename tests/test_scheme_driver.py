@@ -51,6 +51,7 @@ from rearrange_lab.series import (
     ConvergenceRecord,
     ConvergenceSeries,
     _triangular_scheme,
+    _upcoming,
 )
 from rearrange_lab.step1d import (
     StepFunction,
@@ -491,6 +492,71 @@ def test_target_reached_before_the_end_of_a_step(reverse, goal):
     got = _triangular_scheme(Residue(0), steps, 9, apply, per_state(record),
                              Residue(goal), reverse)
     assert got.dumps() == want.dumps()
+
+
+def naive_listing(n, q, last, size, reverse):
+    """The first appearance of each index in the naive loop's applications
+    from position q of outer step n through outer step last, as entries
+    (outer step, position, index, None)."""
+    seen, listing = set(), []
+    for m in range(n, last + 1):
+        for pos in range(q if m == n else 0, m):
+            k = (m - 1 - pos if reverse else pos) % size
+            if k not in seen:
+                seen.add(k)
+                listing.append((m, pos, k, None))
+    return listing
+
+
+@st.composite
+def listings(draw):
+    """Arguments of _upcoming: a position in an outer step, the last outer
+    step (that one, as from target, or n_max), a step count, an order."""
+    n = draw(st.integers(0, 40))
+    q = draw(st.integers(0, n))
+    n_max = n + draw(st.integers(0, 30))
+    return (n, q, draw(st.sampled_from([n, n_max])), draw(st.integers(1, 12)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(listings())
+def test_upcoming_lists_the_first_appearances(args):
+    assert list(_upcoming(*args)) == naive_listing(*args)
+
+
+def logged_entries(entries, log):
+    """entries, logging each one as it is taken."""
+    for entry in entries:
+        log.append(entry)
+        yield entry
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_movers_get_nothing_past_the_step_that_ends_on_target(monkeypatch,
+                                                              order):
+    """From a state equal to u* the driver lists only the rest of the outer
+    step under way, so on a run that reaches u* _movers is given no entry
+    past the outer step that ended on it, whatever n_max; the series is
+    the naive loop's."""
+    u = StepFunction.indicator(1, 2)
+    target = rearrange(u)
+    listed = []   # the entries listed from u*, one list per listing
+
+    def listing(state, entries, *schedule):
+        if state == target:
+            listed.append([])
+            entries = logged_entries(entries, listed[-1])
+        return _movers(state, entries, *schedule)
+
+    monkeypatch.setattr(analysis, "_movers", listing)
+    got = converge_scheme(u, n_max=10**4, order=order)
+    reached = next(r.n for r in got.rows if r.lp_error == 0)
+    assert reached < 10 and len(listed) == 1
+    assert all(m <= reached for m, *_ in listed[0])
+    assert got.dumps() == naive_converge(
+        u, Schedule(1, rho=1.0), 10**4, 1.0, RadialWeight.triangular(16.0),
+        0.01, order).dumps()
 
 
 def test_polarize_runs_once_per_state_change(monkeypatch):
