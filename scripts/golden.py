@@ -148,8 +148,8 @@ def outputs():
     for seed in SEEDS:
         v = generators.random_lattice_function(random.Random(seed))
         for p in (1.0, 2.0):
-            series = lattice.schedule_scheme_lattice(
-                v, lattice.spiral_sites(60), n_max=60, p=p, eps=0.5)
+            series = lattice.schedule_scheme_lattice(v, n_max=60, p=p,
+                                                     eps=0.5)
             yield f"lattice series seed {seed} p {p}", series.dumps(), False
     for seed in SEEDS:
         g = generators.random_grid_function(random.Random(seed),

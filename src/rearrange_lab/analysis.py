@@ -16,15 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import Halfspace, Schedule
-from .series import (ConvergenceSeries, _triangular_scheme,
+from .series import (ConvergenceSeries, _triangular_scheme, _upcoming,
                      check_scheme_parameters, finite, fsum, fsums,
                      record)
 from .step1d import (
     StepFunction,
     _abs_diffs,
     _lp_norms_pow,
+    _first_mover,
     _merged_cells,
-    _movers,
     _stack,
     lp_distance_pow,
     lp_norm,
@@ -167,8 +167,8 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     Row n=0 records the starting function; row n the state after applying
     H_1 .. H_n (or the reversed order) to the previous state.  Once an
     outer step ends on the rearrangement exactly, no halfspace is applied
-    again: from a state equal to it, the driver lists only the rest of
-    the outer step under way, and _movers scans nothing past it.
+    again: from a state equal to it, the driver asks only about the rest
+    of the outer step under way, and _first_mover scans nothing past it.
 
     The driver asks for the rows of the new states in blocks.  A block's
     inputs take a few numpy calls each, over all its states at once
@@ -188,13 +188,12 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
         raise ValueError("the exact scheme runs on the 1-D engine")
     if weight is None:
         weight = RadialWeight.triangular(16.0)
-    # The schedule as columns.  _movers gives each new state; a Halfspace
-    # is built only for polarize, which decides the entries _movers yields
-    # with no state: those that mirror the support beyond the float range,
-    # which _movers tests for once per state against reach.
+    # The schedule as columns, with no Halfspace built: _first_mover finds
+    # each new state among _upcoming's entries.  No boundary point mirrors
+    # a breakpoint beyond the float range (_first_mover's precondition).
     nu, d = schedule._columns(n_max)
     c = nu * d
-    reach = (float(c.min()), float(c.max()))
+    reverse = order == "reversed"
     target = rearrange(u)
     norm0 = lp_norm(u, p)   # ValueError unless p >= 1, before eps is checked
     check_scheme_parameters(p, eps)
@@ -221,12 +220,12 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
             yield mass
             before = mass
 
-    return _triangular_scheme(
-        u, range(n_max), n_max,
-        lambda state, k: polarize(state, Halfspace.line(nu[k], d[k])),
-        rows, target=target, reverse=order == "reversed",
-        movers=lambda state, upcoming: _movers(state, upcoming, nu, c, reach),
-        start_alone=_start_may_fail(u, p, weight))
+    def next_change(state, n, q, last):
+        return _first_mover(state, _upcoming(n, q, last, n_max, reverse),
+                            nu, c)
+
+    return _triangular_scheme(u, n_max, next_change, rows, target=target,
+                              start_alone=_start_may_fail(u, p, weight))
 
 
 def _start_may_fail(u: StepFunction, p: float, weight: RadialWeight) -> bool:

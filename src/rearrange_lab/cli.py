@@ -71,8 +71,7 @@ ENGINES = {
         lambda text: _textio.keyed(text, {"c": int}, "c=<int>")[0],
         lattice.polarize_involution, lattice.rearrange_lattice,
         lambda u, args, weight, schedule: lattice.schedule_scheme_lattice(
-            u, lattice.spiral_sites(args.n_max), n_max=args.n_max,
-            p=args.p, eps=args.eps)),
+            u, n_max=args.n_max, p=args.p, eps=args.eps)),
     "grid2d": (
         grid2d.read_csv, grid2d.write_csv, LatticeHyperplane.parse,
         grid2d.polarize_grid_exact, grid2d.rearrange_grid,

@@ -22,7 +22,7 @@ from . import _textio
 from .errors import ParseError
 from .halfspace import Halfspace
 from .lattice import spiral_sites
-from .series import (ConvergenceSeries, _triangular_scheme,
+from .series import (ConvergenceSeries, _first_change, _triangular_scheme,
                      check_scheme_parameters, finite, fsum, record)
 
 _SNAP_TOL = 1e-9   # cells; interpolation snaps to centers this close
@@ -393,7 +393,7 @@ def mixed_schedule(u: GridFunction, steps: Iterable, n_max: int,
                       list(range(0, diff.size + 1, target.values.size)),
                       u.h * u.h, map(gaussian_cell_mass, states), p, eps)
 
-    return _triangular_scheme(u, steps, n_max, apply, rows)
+    return _triangular_scheme(u, n_max, _first_change(steps, apply), rows)
 
 
 # -- CSV format: first row "m,h"; then 2m+1 rows of 2m+1 values, row index

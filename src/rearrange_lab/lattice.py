@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _textio
-from .series import (ConvergenceSeries, _triangular_scheme,
+from .series import (ConvergenceSeries, _first_change, _triangular_scheme,
                      check_scheme_parameters, finite, fsum, record)
 
 
@@ -196,16 +196,13 @@ def spiral_weighted_mass(u: LatticeFunction) -> float:
                   "spiral weighted mass")
 
 
-def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
-                            n_max: int, p: float = 1.0,
+def schedule_scheme_lattice(u: LatticeFunction, n_max: int, p: float = 1.0,
                             eps: float = 0.5) -> ConvergenceSeries:
-    """Triangular scheme on Z: at outer step n, polarize by the first n
-    involution centers in order.  Records the distance to the spiral
-    rearrangement of u; row n=0 is the starting point."""
+    """Triangular scheme on Z: at outer step n, polarize by the involution
+    centers site_of_rank(k) for k = 0 .. n-1, the first n sites in spiral
+    order.  Records the distance to the spiral rearrangement of u; row n=0
+    is the starting point."""
     check_scheme_parameters(p, eps)
-    centers = list(centers)
-    if len(centers) < n_max:
-        raise ValueError("need at least n_max involution centers")
     target = rearrange_lattice(u)
 
     def rows(ns, states, _):
@@ -217,8 +214,13 @@ def schedule_scheme_lattice(u: LatticeFunction, centers: Iterable[int],
                       np.cumsum([0, *map(len, sites)]).tolist(), 1.0,
                       map(spiral_weighted_mass, states), p, eps)
 
-    return _triangular_scheme(u, centers, n_max, polarize_involution, rows,
-                              target)
+    def apply(state, k):
+        # the module's polarize_involution, looked up at each call, so that
+        # a tracer wrapping it counts these calls
+        return polarize_involution(state, site_of_rank(k))
+
+    return _triangular_scheme(u, n_max, _first_change(range(n_max), apply),
+                              rows, target)
 
 
 # -- CSV format: header "site,value"; one row per support site, ascending. --

@@ -2,8 +2,10 @@
 ConvergenceSeries (one row per state change and the end of its run of
 repeated n), and what the three engines' schemes share: the parameter
 check, the row formula, applied to a block of states at once, and the
-triangular driver, which builds its series from the rows it computes
-with no record per repeated n.
+triangular driver, which asks its engine once per state what changes
+that state next (next_change; _first_change builds one from a list of
+steps) and builds its series from the rows it computes, with no record
+per repeated n.
 
 Also the lab's one overflow rule.  Every mass, norm, distance and row
 column is a sum taken by ``fsum``, ``fsums`` or ``power_sums``: numpy
@@ -223,42 +225,38 @@ def record(ns, diff, widths, offsets, unit: float, masses, p: float,
 _BLOCK = 64
 
 
-def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
-                       reverse=False, movers=None,
+def _triangular_scheme(start, n_max, next_change, rows, target=None,
                        start_alone=False) -> ConvergenceSeries:
-    """Triangular scheme: outer step n applies steps[k % len(steps)] for
-    k = 0 .. n-1 (n-1 .. 0 if reverse), and its row measures the state it
-    ends on.  Once an outer step ends on the state target, no step is
-    applied.
+    """Triangular scheme: outer step n applies the steps H_1 .. H_n of the
+    engine in an order of its own, and its row measures the state it ends
+    on.  Once an outer step ends on the state target, no step is applied.
 
-    The driver works per state, not per index.  apply must return its
-    input object when it changes nothing, and repeat that answer for the
-    same state and step.  From each new state the driver lists the
-    applications the naive loop makes next (``_upcoming``, as entries
-    (outer step, position, index, None)) and applies them in order until
-    one returns a new state.  The listing holds the stop rule: from a
-    state equal to target it ends with the outer step under way (the
-    start ends outer step 0), so the state may still leave target within
-    that step, and a step that ends on target is the last one applied.
-    When given, movers(state, upcoming) filters those entries: it yields,
-    in order, the entries of upcoming whose step apply may change state
-    with, and only those are taken.  An entry it yields with a state in
-    place of None is that step's result, which the driver adopts without
-    calling apply; the others reach apply.
+    The driver works per state, not per index: from each new state it asks
+    next_change(state, n, q, last) once what changes the state next, from
+    position q of outer step n on, in the order of the naive loop, through
+    outer step last.  The answer is None when no step does, or (m, q',
+    outcome): the step at position q' of outer step m is the first that
+    changes state, and outcome is the new state, or the exception that
+    step raised.  last holds the stop rule: from a state equal to target it
+    is the outer step under way (the start ends outer step 0), so the
+    state may still leave target within that step, and a step that ends
+    on target is the last one applied; otherwise it is n_max.
+    _first_change builds next_change from a list of steps and the
+    polarization that applies one.
 
     Rows are computed per state change, in blocks: the driver keeps each
     outer step that ends on a new state, the start included, and asks
     rows(ns, states, previous) for their rows, one ConvergenceRecord per
     state, where previous is the row before the block (None for the
     first).  It asks when _BLOCK states are pending, when the run ends,
-    and before an error from apply or movers propagates, so that the
-    first failing row in n order raises first; with start_alone, also for
-    the start's row alone, before any step is applied, so that a start
-    whose row fails raises at once.  An outer step that ends on the
-    identical state repeats the previous row with its own n: the series
-    returned holds each computed row with the end of its run
-    (ConvergenceSeries._runs), up to n_max.  Both give the rows of the
-    naive loop."""
+    and before an exception propagates: the outer steps before m end
+    first, so that the first failing row in n order raises first.  With
+    start_alone it also asks for the start's row alone, before any step
+    is applied, so that a start whose row fails raises at once.  An outer
+    step that ends on the identical state repeats the previous row with
+    its own n: the series returned holds each computed row with the end
+    of its run (ConvergenceSeries._runs), up to n_max.  Both give the rows
+    of the naive loop."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     records = []
@@ -295,19 +293,15 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
             # from target, only the rest of the step under way is applied
             last = (resume[0] if target is not None and current == target
                     else n_max)
-            upcoming = _upcoming(*resume, last, len(steps), reverse)
-            if movers is not None:
-                upcoming = movers(current, upcoming)
-            for m, q, k, out in upcoming:
-                if m > n:
-                    finish(m)
-                if out is None:
-                    out = apply(current, steps[k])
-                if out is not current:
-                    current, resume = out, (m, q + 1)
-                    break
-            else:
+            answer = next_change(current, *resume, last)
+            if answer is None:
                 break
+            m, q, outcome = answer
+            if m > n:
+                finish(m)
+            if isinstance(outcome, Exception):
+                raise outcome
+            current, resume = outcome, (m, q + 1)
         finish(n_max + 1)
     except Exception:
         flush()   # an earlier row's error comes first
@@ -317,14 +311,32 @@ def _triangular_scheme(start, steps, n_max, apply, rows, target=None,
         records, [r.n for r in records[1:]] + [n_max + 1])
 
 
+def _first_change(steps, apply, reverse=False):
+    """The next_change of a scheme whose outer step n applies steps[k %
+    len(steps)] for k = 0 .. n-1 (n-1 .. 0 if reverse): apply(state, step)
+    on each of _upcoming's entries in turn, up to the first that returns a
+    new state or raises.  apply must return its input object when it
+    changes nothing, and repeat that answer for the same state and step."""
+    def next_change(state, n, q, last):
+        for m, q, k in _upcoming(n, q, last, len(steps), reverse):
+            try:
+                out = apply(state, steps[k])
+            except Exception as exc:
+                return m, q, exc
+            if out is not state:
+                return m, q, out
+        return None
+    return next_change
+
+
 def _upcoming(n, q, last, size, reverse):
-    """(outer step, position, index, None) of the applications the naive
-    loop makes from position q of outer step n through outer step last,
-    while the state stays the same; None stands for the result, not known
-    yet.  Each index is listed at its first appearance only: a repeat on
-    the same state gives the same no-op.  That is the rest of step n, all
-    of step n + 1, and then the one new index m - 1 of each later step m
-    up to size: step m - 1 applied every index below m - 1."""
+    """(outer step, position, index) of the applications the naive loop
+    makes from position q of outer step n through outer step last, while
+    the state stays the same.  Each index is listed at its first
+    appearance only: a repeat on the same state gives the same no-op.
+    That is the rest of step n, all of step n + 1, and then the one new
+    index m - 1 of each later step m up to size: step m - 1 applied every
+    index below m - 1."""
     seen = set()
     for m in range(n, min(n + 1, last) + 1):
         first = q if m == n else 0
@@ -333,6 +345,6 @@ def _upcoming(n, q, last, size, reverse):
             k = (m - 1 - pos if reverse else pos) % size
             if k not in seen:
                 seen.add(k)
-                yield m, pos, k, None
+                yield m, pos, k
     for m in range(n + 2, min(last, size) + 1):
-        yield m, 0 if reverse else m - 1, m - 1, None
+        yield m, 0 if reverse else m - 1, m - 1

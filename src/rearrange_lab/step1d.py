@@ -193,12 +193,11 @@ def _padded(u: StepFunction) -> np.ndarray:
     return padded
 
 
-def _escapes(b0: float, b1: float, c_min: float, c_max: float) -> bool:
+def _escapes(b0: float, b1: float, c: float) -> bool:
     """Whether the mirror image 2c - b of some breakpoint b in [b0, b1]
-    across some boundary point c in [c_min, c_max] is beyond the float
-    range.  The images are largest at c_max and b0, and smallest at c_min
-    and b1."""
-    return math.isinf(2.0 * c_max - b0) or math.isinf(2.0 * c_min - b1)
+    across the boundary point c is beyond the float range: the images are
+    largest at b0 and smallest at b1."""
+    return math.isinf(2.0 * c - b0) or math.isinf(2.0 * c - b1)
 
 
 def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
@@ -218,7 +217,7 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
     nu = h.normal[0]
     c = nu * h.offset   # boundary point of h; sigma(x) = 2c - x
     b0, b1 = u.breakpoints[[0, -1]].tolist()
-    if _escapes(b0, b1, c, c):
+    if _escapes(b0, b1, c):
         # Some mirror image is beyond the float range.  If the support lies
         # in h nothing moves; otherwise the result is not representable.
         if (b1 <= c) if nu > 0 else (b0 >= c):
@@ -241,61 +240,51 @@ def _assemble(grid: np.ndarray, val: np.ndarray) -> StepFunction:
         *_canonicalize(grid[kept], val[kept[:-1]]))
 
 
-# Halfspaces times breakpoints that _movers decides in one pass; bounds its
-# memory whatever the piece count.
+# Halfspaces times breakpoints that _first_mover decides in one pass;
+# bounds its memory whatever the piece count.
 _PASS_CELLS = 1 << 12
 
 
-def _movers(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray,
-            reach: tuple[float, float]):
-    """The entries (outer step, position, index, state) of entries, in
-    order, whose halfspace h polarize(u, h) may not return u for, each
-    with polarize(u, h) as its state.  An entry's index is h's row in the
-    columns nu (the signs) and c (the boundary points): h = {x : nu*x <=
-    nu*c}; the state an entry comes with is ignored.  reach is (min c,
-    max c), or any interval that holds the boundary points of entries.
+def _first_mover(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray):
+    """(outer step, position, polarize(u, h)) of the first entry (outer
+    step, position, index) of entries whose halfspace h moves u, or None
+    when none does.  An entry's index is h's row in the columns nu (the
+    signs) and c (the boundary points): h = {x : nu*x <= nu*c}.
+
+    Precondition: 2c - b is finite for every boundary point c of entries
+    and every breakpoint b of u.  For every double b it is where |c| <
+    2**969, and a schedule's boundary points meet that whatever u: those
+    of the first count entries of Schedule(1, rho) have |c| <= min(rho,
+    count/2 + 1), far below 2**969 for any count a column can hold.
 
     Decides chunks of entries that double from eight, one numpy pass each
     over the cells of polarize's kernel, _mirrored_cells: a halfspace
     moves u when some cell moves (_moving, polarize's rule), with the
     signs side * nu and side = _sides(len(b), 1), built once per state.
-    The polarized values of the moving row are computed, and the new
-    state assembled, only when the entry is yielded; the state is
+    The polarized values of the first moving row are computed, and the
+    new state assembled, only for the entry returned; the state is
     polarize's.  A chunk holds at most _PASS_CELLS // len(breakpoints)
-    halfspaces, and at least one.  A halfspace that mirrors the support
-    beyond the float range is yielded with state None, so that polarize
-    decides it and raises where it must; the rows are tested for it one
-    by one only when some boundary point in reach may mirror the support
-    that far."""
+    halfspaces, and at least one."""
     if u.is_zero:
-        return
+        return None
     b = u.breakpoints
-    b0, b1 = b[[0, -1]].tolist()
     padded = _padded(u)
     side = _sides(b.size, 1.0)
-    may_escape = _escapes(b0, b1, *reach)
     cap = max(1, _PASS_CELLS // b.size)
     size = min(8, cap)
     entries = iter(entries)
     while chunk := list(islice(entries, size)):
-        ks = [k for _, _, k, _ in chunk]
-        nus = nu[ks][:, None]
-        cs = c[ks][:, None]
-        escaping = []   # the rows whose mirror images escape
-        if may_escape:
-            escaping = [i for i, x in enumerate(cs[:, 0].tolist())
-                        if _escapes(b0, b1, x, x)]
-            # c = 0 there keeps the kernel's arithmetic finite
-            cs[escaping] = 0.0
-        grid, a, r = _mirrored_cells(b, padded, cs)
-        signs = side * nus
+        ks = [k for _, _, k in chunk]
+        grid, a, r = _mirrored_cells(b, padded, c[ks][:, None])
+        signs = side * nu[ks][:, None]
         moves = _moving(grid, a, r, signs).any(axis=1)
-        moves[escaping] = True
-        for i in moves.nonzero()[0].tolist():
-            m, q, k, _ = chunk[i]
-            yield m, q, k, (None if i in escaping else _assemble(
-                grid[i], _polarized(a[i], r[i], signs[i])))
+        if moves.any():
+            i = int(moves.argmax())
+            m, q, _ = chunk[i]
+            return m, q, _assemble(grid[i],
+                                   _polarized(a[i], r[i], signs[i]))
         size = min(2 * size, cap)
+    return None
 
 
 def _grouped_lengths(u: StepFunction):

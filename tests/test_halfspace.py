@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rearrange_lab import halfspace
 from rearrange_lab.errors import ParseError
@@ -248,6 +248,25 @@ class TestSchedule:
         assert 0 < low.nth(4001).offset <= 2.0 ** -1022
         high = Schedule(dimension=2, rho=math.nextafter(2.0 ** 1023, 0))
         assert 0 < high.nth(50).offset <= high.rho
+
+    @given(st.floats(2.0 ** -1022, 2.0 ** 1023, exclude_max=True),
+           st.integers(0, 10 ** 5))
+    @example(2.0 ** -1022, 10 ** 5)
+    @example(math.nextafter(2.0 ** 1023, 0), 10 ** 5)
+    @example(1e-300, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_points_mirror_every_double_finitely(self, rho, count):
+        """step1d._first_mover's precondition holds on every schedule:
+        each boundary point c = sign * offset of the first count entries
+        has |c| <= min(rho, count/2 + 1), so that the mirror image 2c - b
+        of every double b is finite."""
+        signs, offsets = Schedule(1, rho=rho)._columns(count)
+        c = signs * offsets
+        assert (np.abs(c) <= min(rho, count / 2 + 1)).all()
+        largest = 1.7976931348623157e308
+        with np.errstate(over="ignore"):
+            assert np.isfinite(2.0 * c + largest).all()
+            assert np.isfinite(2.0 * c - largest).all()
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

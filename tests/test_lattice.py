@@ -324,23 +324,17 @@ class TestReference:
 class TestScheduleScheme:
     def test_invariant_input_has_zero_errors(self):
         u = rearrange_lattice(LatticeFunction({4: 3.0, -7: 1.0}))
-        series = schedule_scheme_lattice(u, spiral_sites(10), n_max=10)
+        series = schedule_scheme_lattice(u, n_max=10)
         assert all(r.lp_error == 0.0 for r in series)
 
     def test_reaches_zero_at_finite_n(self):
-        series = schedule_scheme_lattice(LatticeFunction({5: 1.0}),
-                                         spiral_sites(30), n_max=30)
+        series = schedule_scheme_lattice(LatticeFunction({5: 1.0}), n_max=30)
         assert series.final.lp_error == 0.0
         assert series[0].n == 0
 
     def test_zero_function(self):
-        series = schedule_scheme_lattice(LatticeFunction(), spiral_sites(5),
-                                         n_max=5)
+        series = schedule_scheme_lattice(LatticeFunction(), n_max=5)
         assert all(r.lp_error == 0.0 for r in series)
-
-    def test_needs_enough_centers(self):
-        with pytest.raises(ValueError):
-            schedule_scheme_lattice(LatticeFunction({1: 1.0}), [0, 1], n_max=5)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_eps_not_positive_rejected_before_any_polarization(
@@ -348,7 +342,7 @@ class TestScheduleScheme:
         monkeypatch.setattr(lattice, "polarize_involution", None)
         with pytest.raises(ValueError, match="^eps must be positive$"):
             schedule_scheme_lattice(LatticeFunction({0: 1.0, 3: 2.0}),
-                                    spiral_sites(4), n_max=4, eps=eps)
+                                    n_max=4, eps=eps)
 
 
 class TestCsv:

@@ -50,13 +50,14 @@ from rearrange_lab.lattice import (
 from rearrange_lab.series import (
     ConvergenceRecord,
     ConvergenceSeries,
+    _first_change,
     _triangular_scheme,
     _upcoming,
 )
 from rearrange_lab.step1d import (
     StepFunction,
     _abs_diff,
-    _movers,
+    _first_mover,
     deviation_measure,
     lp_distance,
     lp_norm,
@@ -65,7 +66,7 @@ from rearrange_lab.step1d import (
     sup_distance,
 )
 from test_analysis import finite_result
-from test_step1d import HALFSPACE, POINT, columns, decision_states
+from test_step1d import HALFSPACE, POINT, decision_states, first_change
 
 SEEDS = (3, 17, 29, 101)
 CLI_GRID_STEPS = [Axis.X, Axis.Y,
@@ -197,7 +198,7 @@ def test_lattice_matches_naive_loop(seed, p):
     centers = spiral_sites(40)
     for v in (u, uniform):
         expected = naive_lattice(v, centers, 40, p, 0.5)
-        got = schedule_scheme_lattice(v, centers, n_max=40, p=p, eps=0.5)
+        got = schedule_scheme_lattice(v, n_max=40, p=p, eps=0.5)
         assert got.dumps() == expected.dumps()
 
 
@@ -332,7 +333,8 @@ def test_driver_does_not_assume_idempotence():
     def record(n, state, previous):
         return ConvergenceRecord(n, float(state.value), 0.0, 0.0, 0.0)
 
-    got = _triangular_scheme(Counter(0), [1, 2], 5, apply, per_state(record))
+    got = _triangular_scheme(Counter(0), 5, _first_change([1, 2], apply),
+                             per_state(record))
     naive = []
     state = Counter(0)
     for n in range(6):
@@ -359,19 +361,24 @@ def naive_scheme(start, steps, n_max, apply, record, target=None,
     return ConvergenceSeries(tuple(records))
 
 
-def movers_of(steps):
-    """_movers on indices into steps, as converge_scheme asks it."""
-    nu, c, reach = columns(steps)
-    return lambda u, upcoming: _movers(u, upcoming, nu, c, reach)
+def first_changes(steps, reverse=False):
+    """converge_scheme's next_change over the halfspaces steps:
+    _first_mover on _upcoming's listing, with polarize deciding each step
+    that mirrors the state's support beyond the float range
+    (test_step1d.first_change)."""
+    def next_change(state, n, q, last):
+        return first_change(
+            state, _upcoming(n, q, last, len(steps), reverse), steps)
+    return next_change
 
 
-def adopting(movers, log):
-    """movers, logging each state the driver asks it about.  The driver
-    asks once for the start and then once for each state it adopts,
-    whether movers or apply gave that state."""
-    def logged(state, upcoming):
+def adopting(next_change, log):
+    """next_change, logging each state the driver asks it about.  The
+    driver asks once for the start and then once for each state it
+    adopts."""
+    def logged(state, *position):
         log.append(step1d.dumps(state))
-        return movers(state, upcoming)
+        return next_change(state, *position)
     return logged
 
 
@@ -406,11 +413,12 @@ def test_short_step_list_matches_naive_loop(seed, reverse, size):
     want_log, plain_log, got_log = [], [], []
     want = naive_scheme(u, steps, 12, changes(polarize, want_log), record,
                         target, reverse)
-    plain = _triangular_scheme(u, steps, 12, changes(polarize, plain_log),
-                               per_state(record), target, reverse)
-    got = _triangular_scheme(u, steps, 12, polarize, per_state(record),
-                             target, reverse,
-                             movers=adopting(movers_of(steps), got_log))
+    plain = _triangular_scheme(
+        u, 12, _first_change(steps, changes(polarize, plain_log), reverse),
+        per_state(record), target)
+    got = _triangular_scheme(
+        u, 12, adopting(first_changes(steps, reverse), got_log),
+        per_state(record), target)
     assert plain.dumps() == got.dumps() == want.dumps()
     assert plain_log == got_log[1:] == want_log
 
@@ -428,8 +436,8 @@ def test_error_raised_after_the_same_changes():
     with pytest.raises(ValueError, match="beyond the float range"):
         naive_scheme(u, steps, 8, changes(polarize, want_log), record)
     with pytest.raises(ValueError, match="beyond the float range"):
-        _triangular_scheme(u, steps, 8, polarize, per_state(record),
-                           movers=adopting(movers_of(steps), got_log))
+        _triangular_scheme(u, 8, adopting(first_changes(steps), got_log),
+                           per_state(record))
     assert got_log[1:] == want_log != []
 
 
@@ -442,7 +450,7 @@ def test_error_raised_after_the_same_changes():
          [Halfspace.line(1, 8.5e307), Halfspace.line(1, -1e308)], True)
 @settings(max_examples=150, deadline=None)
 def test_adopted_states_and_errors_match_naive_loop(u, steps, reverse):
-    """Through the filter the driver adopts the naive loop's states, to
+    """Through _first_mover the driver adopts the naive loop's states, to
     the sign of each zero, and raises the naive loop's ValueError after
     the same state changes where a mirror image escapes."""
 
@@ -459,8 +467,8 @@ def test_adopted_states_and_errors_match_naive_loop(u, steps, reverse):
     want = outcome(lambda: naive_scheme(
         u, steps, 8, changes(polarize, want_log), record, reverse=reverse))
     got = outcome(lambda: _triangular_scheme(
-        u, steps, 8, polarize, per_state(record), reverse=reverse,
-        movers=adopting(movers_of(steps), got_log)))
+        u, 8, adopting(first_changes(steps, reverse), got_log),
+        per_state(record)))
     assert got == want
     assert got_log[1:] == want_log
 
@@ -489,22 +497,23 @@ def test_target_reached_before_the_end_of_a_step(reverse, goal):
     steps = [1, 2, 0]
     want = naive_scheme(Residue(0), steps, 9, apply, record, Residue(goal),
                         reverse)
-    got = _triangular_scheme(Residue(0), steps, 9, apply, per_state(record),
-                             Residue(goal), reverse)
+    got = _triangular_scheme(Residue(0), 9,
+                             _first_change(steps, apply, reverse),
+                             per_state(record), Residue(goal))
     assert got.dumps() == want.dumps()
 
 
 def naive_listing(n, q, last, size, reverse):
     """The first appearance of each index in the naive loop's applications
     from position q of outer step n through outer step last, as entries
-    (outer step, position, index, None)."""
+    (outer step, position, index)."""
     seen, listing = set(), []
     for m in range(n, last + 1):
         for pos in range(q if m == n else 0, m):
             k = (m - 1 - pos if reverse else pos) % size
             if k not in seen:
                 seen.add(k)
-                listing.append((m, pos, k, None))
+                listing.append((m, pos, k))
     return listing
 
 
@@ -536,9 +545,9 @@ def logged_entries(entries, log):
 def test_movers_get_nothing_past_the_step_that_ends_on_target(monkeypatch,
                                                               order):
     """From a state equal to u* the driver lists only the rest of the outer
-    step under way, so on a run that reaches u* _movers is given no entry
-    past the outer step that ended on it, whatever n_max; the series is
-    the naive loop's."""
+    step under way, so on a run that reaches u* _first_mover is given no
+    entry past the outer step that ended on it, whatever n_max; the
+    series is the naive loop's."""
     u = StepFunction.indicator(1, 2)
     target = rearrange(u)
     listed = []   # the entries listed from u*, one list per listing
@@ -547,9 +556,9 @@ def test_movers_get_nothing_past_the_step_that_ends_on_target(monkeypatch,
         if state == target:
             listed.append([])
             entries = logged_entries(entries, listed[-1])
-        return _movers(state, entries, *schedule)
+        return _first_mover(state, entries, *schedule)
 
-    monkeypatch.setattr(analysis, "_movers", listing)
+    monkeypatch.setattr(analysis, "_first_mover", listing)
     got = converge_scheme(u, n_max=10**4, order=order)
     reached = next(r.n for r in got.rows if r.lp_error == 0)
     assert reached < 10 and len(listed) == 1
@@ -562,8 +571,7 @@ def test_movers_get_nothing_past_the_step_that_ends_on_target(monkeypatch,
 def test_polarize_runs_once_per_state_change(monkeypatch):
     """On a stalled draw of the benchmark's kind, each state change
     assembles one row of the look-ahead pass, and that row's state is the
-    one the driver adopts; polarize itself never runs, as no entry mirrors
-    the support beyond the float range."""
+    one the driver adopts; polarize itself never runs."""
     u = generators.random_step_function(random.Random(11), span=1.0)
     assembled, asked, calls = [], [], []
     assemble = step1d._assemble
@@ -574,14 +582,14 @@ def test_polarize_runs_once_per_state_change(monkeypatch):
 
     def asking(state, entries, *schedule):
         asked.append(state)
-        return _movers(state, entries, *schedule)
+        return _first_mover(state, entries, *schedule)
 
     def counting_polarize(state, h):
         calls.append(h)
         return polarize(state, h)
 
     monkeypatch.setattr(step1d, "_assemble", counting_assemble)
-    monkeypatch.setattr(analysis, "_movers", asking)
+    monkeypatch.setattr(analysis, "_first_mover", asking)
     monkeypatch.setattr(analysis, "polarize", counting_polarize)
     series = converge_restricted(u, rho=0.1, n_max=200)
     assert series.final.lp_error > 0   # the state never reached u*
@@ -593,11 +601,9 @@ def test_polarize_runs_once_per_state_change(monkeypatch):
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 def test_halfspaces_built_only_for_polarize(monkeypatch, order):
-    """converge_scheme reads the schedule as columns and builds a Halfspace
-    only for an entry that reaches polarize: one whose mirror image of the
-    support escapes the float range.  The schedule's offsets on these
-    draws are far from that, so no Halfspace is built at all; the driver
-    tests above reach polarize through escaping entries."""
+    """converge_scheme reads the schedule as columns and builds no
+    Halfspace: no schedule entry mirrors the support beyond the float
+    range, so polarize is never needed to decide one."""
     built, calls = [], []
     post_init = Halfspace.__post_init__
 
@@ -656,15 +662,16 @@ def _shift_right(state):
     return StepFunction(state.breakpoints + 4.0, state.values)
 
 
-def _shifting_movers(state, entries, *schedule):
-    """_movers, with _shift_right(state) as the state of each entry: the
-    look-ahead pass is where the 1-D scheme takes its new states from."""
-    for m, q, k, _ in _movers(state, entries, *schedule):
-        yield m, q, k, _shift_right(state)
+def _shifting_first_mover(state, entries, *schedule):
+    """_first_mover, with _shift_right(state) as the state of its answer:
+    the look-ahead pass is where the 1-D scheme takes its new states
+    from."""
+    answer = _first_mover(state, entries, *schedule)
+    return answer and (*answer[:2], _shift_right(state))
 
 
 def test_mass_decrease_raises(monkeypatch):
-    monkeypatch.setattr(analysis, "_movers", _shifting_movers)
+    monkeypatch.setattr(analysis, "_first_mover", _shifting_first_mover)
     with pytest.raises(InvariantViolation, match="weighted mass decreased"):
         converge_scheme(StepFunction.indicator(0, 1), n_max=5)
 
@@ -673,36 +680,37 @@ def test_cli_converge_exits_4_on_invariant_violation(monkeypatch, tmp_path):
     src = tmp_path / "u.csv"
     out = tmp_path / "series.csv"
     step1d.write_csv(StepFunction.indicator(0, 1), src)
-    monkeypatch.setattr(analysis, "_movers", _shifting_movers)
+    monkeypatch.setattr(analysis, "_first_mover", _shifting_first_mover)
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5"]) == 4
     assert not out.exists()
 
 
 def walking(states):
-    """A movers hook, also fit for _movers' place, that ends each next
-    outer step on a fresh copy of the next of states (None leaves that
-    step to apply): from each state it yields the first entry of a later
-    outer step than the last one it yielded, and nothing once states run
-    out."""
+    """A hook fit for _first_mover's place that ends each next outer step
+    on a fresh copy of the next of states, or raises there the next of
+    states that is an exception: from each state it answers with the
+    first entry of a later outer step than the last one it answered with,
+    and None once states run out."""
     rest = iter(states)
     last = 0
 
-    def movers(state, upcoming, *columns):
+    def first_mover(state, entries, *columns):
         nonlocal last
-        for m, q, k, _ in upcoming:
+        for m, q, _ in entries:
             if m > last:
                 last = m
                 for u in itertools.islice(rest, 1):
-                    yield m, q, k, None if u is None else (
+                    return m, q, u if isinstance(u, Exception) else (
                         StepFunction._from_canonical(u.breakpoints, u.values))
-                return
-    return movers
+                return None
+        return None
+    return first_mover
 
 
-def _failing_polarize(state, h):
-    raise ValueError("the mirror image of the support across "
-                     f"{h.encode()} is beyond the float range")
+def _escape_error():
+    return ValueError("the mirror image of the support across nu=1,d=-1e308 "
+                      "is beyond the float range")
 
 
 def test_violation_before_a_later_polarization_error_is_exit_4(
@@ -714,8 +722,8 @@ def test_violation_before_a_later_polarization_error_is_exit_4(
     out = tmp_path / "series.csv"
     u = StepFunction.indicator(0, 1)
     step1d.write_csv(u, src)
-    monkeypatch.setattr(analysis, "_movers", walking([_shift_right(u), None]))
-    monkeypatch.setattr(analysis, "polarize", _failing_polarize)
+    monkeypatch.setattr(analysis, "_first_mover",
+                        walking([_shift_right(u), _escape_error()]))
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5"]) == 4
     assert capsys.readouterr().err == (
@@ -740,7 +748,7 @@ def test_overflow_before_a_later_violation_is_exit_2(
     out = tmp_path / "series.csv"
     src.write_text(f"breakpoint,value\n{start}\n")
     states = [first] if first else []
-    monkeypatch.setattr(analysis, "_movers",
+    monkeypatch.setattr(analysis, "_first_mover",
                         walking([*states, StepFunction.zero()]))
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5", *args]) == 2
@@ -765,9 +773,8 @@ def test_rows_in_blocks_of_any_size_match_naive_loops(monkeypatch, block):
             .dumps() == naive_converge(u, schedule, 40, 1.5, weight, 0.01,
                                        "forward").dumps())
     v = generators.random_lattice_function(rng)
-    centers = spiral_sites(40)
-    assert (schedule_scheme_lattice(v, centers, n_max=40, p=1.5).dumps()
-            == naive_lattice(v, centers, 40, 1.5, 0.5).dumps())
+    assert (schedule_scheme_lattice(v, n_max=40, p=1.5).dumps()
+            == naive_lattice(v, spiral_sites(40), 40, 1.5, 0.5).dumps())
     g = generators.random_grid_function(rng, m=4)
     assert (mixed_schedule(g, CLI_GRID_STEPS, n_max=16, p=1.5).dumps()
             == naive_grid(g, CLI_GRID_STEPS, 16, 1.5, 0.01).dumps())
@@ -825,7 +832,7 @@ def scheme_rows(u, **kwargs):
     """converge_scheme's rows hook for the start u."""
     hooks = []
     with mock.patch.object(analysis, "_triangular_scheme",
-                           lambda *args, **_: hooks.append(args[4])):
+                           lambda *args, **_: hooks.append(args[3])):
         converge_scheme(u, n_max=1, **kwargs)
     return hooks[0]
 
@@ -894,11 +901,12 @@ def test_block_rows_match_the_per_state_functions(states, p, weight, eps,
         reject()
     n_max = len(states) - 1
     # an overflowing width warns in both; here it is the row's error
+    walk = walking(states[1:])
     with mock.patch.object(series, "_BLOCK", block), \
             np.errstate(all="ignore"):
         got = _hex_rows(lambda: _triangular_scheme(
-            states[0], range(n_max), n_max, None, rows,
-            movers=walking(states[1:])))
+            states[0], n_max, lambda state, *position: walk(
+                state, _upcoming(*position, n_max, False)), rows))
         want = _hex_rows(lambda: per_state_rows(states, **kwargs))
     assert got == want
 
@@ -923,8 +931,8 @@ def _stalled_draw_scaled(norm):
 def test_the_start_row_fails_before_any_polarization(monkeypatch, u, weight,
                                                      what):
     asked = []
-    monkeypatch.setattr(analysis, "_movers",
-                        lambda *args: asked.append(args) or iter(()))
+    monkeypatch.setattr(analysis, "_first_mover",
+                        lambda *args: asked.append(args))
     with pytest.raises(ValueError, match=re.escape(
             f"{what} overflows the float range")):
         converge_restricted(u, rho=0.1, n_max=20_000, weight=weight)

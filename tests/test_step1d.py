@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -13,12 +14,12 @@ from hypothesis import (
 
 from rearrange_lab import generators
 from rearrange_lab.errors import ParseError
-from rearrange_lab import step1d
+from rearrange_lab import series, step1d
 from rearrange_lab.analysis import product_integral
 from rearrange_lab.halfspace import Halfspace, Schedule
 from rearrange_lab.step1d import (
     StepFunction,
-    _movers,
+    _first_mover,
     deviation_measure,
     dumps,
     loads,
@@ -180,43 +181,68 @@ class TestPolarize:
 
 
 def columns(halfspaces):
-    """The sign and boundary-point columns of 1-D halfspaces, and the range
-    of the boundary points, the form in which _movers takes them."""
+    """The sign and boundary-point columns of 1-D halfspaces, the form in
+    which _first_mover takes them."""
     nu = np.array([h.normal[0] for h in halfspaces])
-    c = nu * np.array([h.offset for h in halfspaces])
-    return nu, c, (min(c.tolist(), default=0.0), max(c.tolist(), default=0.0))
+    return nu, nu * np.array([h.offset for h in halfspaces])
 
 
-def movers(u, halfspaces, wide=False):
-    """The positions in halfspaces that _movers yields on u."""
-    return [k for _, _, k, _ in moving_states(u, halfspaces, wide)]
+def first_change(u, entries, halfspaces):
+    """The answer (outer step, position, outcome) of the first of entries
+    (outer step, position, index into halfspaces) whose halfspace changes
+    u, or raises, in order; None for none.  _first_mover decides each run
+    of entries within its precondition, and polarize, through
+    series._first_change, each entry whose halfspace mirrors u's support
+    beyond the float range (escapes), where it returns u or raises."""
+    nu, c = columns(halfspaces)
+    for escaping, run in itertools.groupby(
+            entries, lambda entry: escapes(u, halfspaces[entry[2]])):
+        if not escaping:
+            answer = _first_mover(u, run, nu, c)
+            if answer is not None:
+                return answer
+            continue
+        for m, q, k in run:
+            answer = series._first_change([halfspaces[k]], polarize)(
+                u, 1, 0, 1)
+            if answer is not None:
+                return m, q, answer[2]
+    return None
 
 
-def moving_states(u, halfspaces, wide=False):
-    """The entries (outer step, position, index, state) that _movers
-    yields on u, for entries at the positions in halfspaces; given the
-    whole float range as the range of the boundary points when wide."""
-    entries = [(1, 0, k, None) for k in range(len(halfspaces))]
-    nu, c, reach = columns(halfspaces)
-    if wide:
-        reach = (-1.7976931348623157e308, 1.7976931348623157e308)
-    return list(_movers(u, entries, nu, c, reach))
+def movers(u, halfspaces):
+    """The positions in halfspaces that change u or raise (first_change)."""
+    return [k for k, _ in moving_states(u, halfspaces)]
+
+
+def moving_states(u, halfspaces):
+    """(position, outcome) of each halfspace in halfspaces that changes u
+    or raises, in order: the answers of first_change, each asked from
+    just past the one before."""
+    found, start = [], 0
+    while (answer := first_change(
+            u, [(1, k, k) for k in range(start, len(halfspaces))],
+            halfspaces)) is not None:
+        found.append(answer[1:])
+        start = answer[1] + 1
+    return found
 
 
 def first_mover(u, halfspaces):
-    """The first position movers yields; len(halfspaces) for none."""
-    return next(iter(movers(u, halfspaces)), len(halfspaces))
+    """The position of first_change's answer; len(halfspaces) for none."""
+    answer = first_change(u, [(1, k, k) for k in range(len(halfspaces))],
+                          halfspaces)
+    return len(halfspaces) if answer is None else answer[1]
 
 
 def scalar_first_mover(u, halfspaces):
-    """The first mover by one polarize call per halfspace; a mirror image of
-    the support beyond the float range is left to polarize as a mover."""
-    b = u.breakpoints.tolist()
+    """The first position where polarize changes u or raises, by one
+    polarize call per halfspace."""
     for i, h in enumerate(halfspaces):
-        c2 = 2.0 * h.normal[0] * h.offset
-        if b and (math.isinf(c2 - b[0]) or math.isinf(c2 - b[-1])):
-            return i
-        if polarize(u, h) is not u:
+        try:
+            if polarize(u, h) is not u:
+                return i
+        except ValueError:
             return i
     return len(halfspaces)
 
@@ -282,28 +308,25 @@ class TestFirstMover:
         assert (first_mover(u, halfspaces)
                 == scalar_first_mover(u, halfspaces))
 
-    @given(decision_states(), st.lists(HALFSPACE, max_size=40),
-           st.booleans())
+    @given(decision_states(), st.lists(HALFSPACE, max_size=40))
     @example(StepFunction([-0.0, 5e-324, 0.5], [1.0, 3.0]),
              [Halfspace.line(1, 0.0), Halfspace.line(-1, -0.0),
               Halfspace.line(-1, 5e-324), Halfspace.line(1, -5e-324),
-              Halfspace.line(1, 1e308), Halfspace.line(1, 0.25)], False)
+              Halfspace.line(1, 1e308), Halfspace.line(1, 0.25)])
     @example(StepFunction([1e308, 1.25e308, 1.7e308], [1.0, 2.0]),
              [Halfspace.line(1, 8.5e307), Halfspace.line(-1, -8.5e307),
               Halfspace.line(1, -1e308), Halfspace.line(-1, 0.0),
-              Halfspace.line(1, 1.25e308)], False)
+              Halfspace.line(1, 1.25e308)])
     @example(StepFunction([-1.7e308, -1e308], [2.0]),
              [Halfspace.line(-1, 1e308), Halfspace.line(1, -1e308),
-              Halfspace.line(1, 0.0)], True)
+              Halfspace.line(1, 0.0)])
     @settings(max_examples=300, deadline=None)
-    def test_yields_every_mover_in_order(self, u, halfspaces, wide):
-        """The pass yields exactly the halfspaces h for which polarize(u,
-        h) is not u, and those that mirror the support beyond the float
-        range (polarize then returns u or raises).  The range of boundary
-        points _movers gets is theirs, or the whole float range, where
-        every chunk tests its rows for an escape."""
-        assert (movers(u, halfspaces, wide)
-                == scalar_movers(u, halfspaces))
+    def test_yields_every_mover_in_order(self, u, halfspaces):
+        """Asked again from just past each answer, first_change finds
+        exactly the halfspaces h for which polarize(u, h) is not u or
+        raises: _first_mover those within its precondition, polarize
+        those that mirror the support beyond the float range."""
+        assert movers(u, halfspaces) == scalar_movers(u, halfspaces)
 
     def test_bounded_passes_match_scalar_scan(self, monkeypatch):
         # Two halfspaces per pass on these inputs, so a mover sits in a
@@ -355,19 +378,16 @@ class TestFirstMover:
               Halfspace.line(1, 1e308), Halfspace.line(1, 0.0)])
     @settings(max_examples=400, deadline=None)
     def test_states_are_polarize_bit_for_bit(self, u, halfspaces):
-        """Each state _movers yields is polarize's result, to the sign of
-        each zero; it yields None only where a mirror image escapes, and
-        there polarize returns u or raises."""
-        for _, _, k, state in moving_states(u, halfspaces):
+        """Each state _first_mover answers with is polarize's result, to
+        the sign of each zero; an error is the answer only where a mirror
+        image escapes, and it is polarize's."""
+        for k, state in moving_states(u, halfspaces):
             h = halfspaces[k]
-            if state is None:
+            if isinstance(state, Exception):
                 c2 = 2.0 * h.normal[0] * h.offset
                 b0, b1 = u.breakpoints[[0, -1]].tolist()
                 assert math.isinf(c2 - b0) or math.isinf(c2 - b1)
-                try:
-                    assert polarize(u, h) is u
-                except ValueError as exc:
-                    assert "beyond the float range" in str(exc)
+                assert "beyond the float range" in str(state)
             else:
                 want = polarize(u, h)
                 assert want is not u
@@ -380,25 +400,35 @@ class TestFirstMover:
         assert movers(StepFunction.zero(), halfspaces) == []
 
     def test_mirror_image_beyond_the_float_range(self):
+        """Through _first_change, polarize answers for a halfspace that
+        mirrors the support beyond the float range: no change where the
+        support lies in it, and its positioned error where not."""
         u = StepFunction.indicator(0, 1)
         noop = Halfspace.line(1, 0.5)
-        for far in (Halfspace.line(1, 1e308), Halfspace.line(1, -1e308)):
-            assert movers(u, [noop, far, noop]) == [1]
+        steps = [noop, Halfspace.line(1, 1e308), noop]
+        assert series._first_change(steps, polarize)(u, 3, 0, 3) is None
+        steps[1] = Halfspace.line(1, -1e308)
+        m, q, error = series._first_change(steps, polarize)(u, 3, 0, 3)
+        assert (m, q) == (3, 1) and isinstance(error, ValueError)
+        assert movers(u, steps) == [1]
 
     @pytest.mark.parametrize("u, noop, far", [
-        # only 2c - b0 overflows, at the largest c of the chunk
+        # only 2c - b0 overflows
         (StepFunction.indicator(-1e308, 0), Halfspace.line(1, 0.5),
          Halfspace.line(1, 5e307)),
-        # only 2c - b1 overflows, at the smallest c of the chunk
+        # only 2c - b1 overflows
         (StepFunction.indicator(0, 1e308), Halfspace.line(-1, 0.5),
          Halfspace.line(-1, 5e307)),
     ])
     def test_mirror_image_beyond_the_float_range_at_one_end(self, u, noop,
                                                            far):
+        """Where one end's mirror image escapes and the support lies in
+        the halfspace, polarize, which decides it, changes nothing."""
         halfspaces = [noop, far, noop]
+        assert escapes(u, far)
         assert (first_mover(u, halfspaces)
-                == scalar_first_mover(u, halfspaces) == 1)
-        assert movers(u, halfspaces) == scalar_movers(u, halfspaces) == [1]
+                == scalar_first_mover(u, halfspaces) == 3)
+        assert movers(u, halfspaces) == scalar_movers(u, halfspaces) == []
 
 
 # The lookup loop polarize ran before the mirrored-grid kernel, verbatim:
@@ -522,7 +552,7 @@ def escapes(u: StepFunction, h: Halfspace) -> bool:
     range, so that polarize returns u or raises."""
     c = h.normal[0] * h.offset
     return not u.is_zero and step1d._escapes(
-        *u.breakpoints[[0, -1]].tolist(), c, c)
+        *u.breakpoints[[0, -1]].tolist(), c)
 
 
 def state_bytes(u: StepFunction):
