@@ -311,14 +311,14 @@ def _triangular_scheme(start, n_max, next_change, rows, target=None,
         records, [r.n for r in records[1:]] + [n_max + 1])
 
 
-def _first_change(steps, apply, reverse=False):
+def _first_change(steps, apply):
     """The next_change of a scheme whose outer step n applies steps[k %
-    len(steps)] for k = 0 .. n-1 (n-1 .. 0 if reverse): apply(state, step)
-    on each of _upcoming's entries in turn, up to the first that returns a
-    new state or raises.  apply must return its input object when it
-    changes nothing, and repeat that answer for the same state and step."""
+    len(steps)] for k = 0 .. n-1: apply(state, step) on each of
+    _upcoming's entries in turn, up to the first that returns a new state
+    or raises.  apply must return its input object when it changes
+    nothing, and repeat that answer for the same state and step."""
     def next_change(state, n, q, last):
-        for m, q, k in _upcoming(n, q, last, len(steps), reverse):
+        for m, q, k in _upcoming(n, q, last, len(steps), False):
             try:
                 out = apply(state, steps[k])
             except Exception as exc:

@@ -372,6 +372,25 @@ def first_changes(steps, reverse=False):
     return next_change
 
 
+def applying(steps, apply, reverse):
+    """_first_change(steps, apply), or in the reversed order the same
+    search over _upcoming's reversed listing: apply on each entry in turn,
+    up to the first that returns a new state or raises."""
+    if not reverse:
+        return _first_change(steps, apply)
+
+    def next_change(state, n, q, last):
+        for m, q, k in _upcoming(n, q, last, len(steps), True):
+            try:
+                out = apply(state, steps[k])
+            except Exception as exc:
+                return m, q, exc
+            if out is not state:
+                return m, q, out
+        return None
+    return next_change
+
+
 def adopting(next_change, log):
     """next_change, logging each state the driver asks it about.  The
     driver asks once for the start and then once for each state it
@@ -414,7 +433,7 @@ def test_short_step_list_matches_naive_loop(seed, reverse, size):
     want = naive_scheme(u, steps, 12, changes(polarize, want_log), record,
                         target, reverse)
     plain = _triangular_scheme(
-        u, 12, _first_change(steps, changes(polarize, plain_log), reverse),
+        u, 12, applying(steps, changes(polarize, plain_log), reverse),
         per_state(record), target)
     got = _triangular_scheme(
         u, 12, adopting(first_changes(steps, reverse), got_log),
@@ -498,7 +517,7 @@ def test_target_reached_before_the_end_of_a_step(reverse, goal):
     want = naive_scheme(Residue(0), steps, 9, apply, record, Residue(goal),
                         reverse)
     got = _triangular_scheme(Residue(0), 9,
-                             _first_change(steps, apply, reverse),
+                             applying(steps, apply, reverse),
                              per_state(record), Residue(goal))
     assert got.dumps() == want.dumps()
 
