@@ -5,6 +5,10 @@ The corpus is fixed:
 - 480 step1d convergence series: seeds 0-39 x p in {1, 2, 3} x both
   orders x rho in {0.1, 1}, at n_max 60; odd seeds use the Gaussian
   weight, even seeds the triangular one;
+- 80 deep step1d series, the benchmark's configuration: seeds 0-39 x
+  both orders at rho 0.1, n_max 200, p 1, the triangular weight, and
+  the stalled draw (seed 11) at n_max 10^4 in both orders, whose
+  look-ahead reaches far into the schedule between state changes;
 - 80 lattice series (seeds 0-39 x p in {1, 2}, n_max 60) and 80 grid
   series (seeds 0-39 x p in {1, 2}, n_max 24, the CLI's four steps);
 - the function CSVs of polarize and rearrange on all three engines, one
@@ -145,6 +149,13 @@ def outputs():
                         order=order)
                     yield (f"step1d series seed {seed} rho {rho} p {p} "
                            f"{order}", series.dumps(), seed % 2 == 1)
+    for seed, n_max in [*((seed, 200) for seed in SEEDS), (11, 10**4)]:
+        u = generators.random_step_function(random.Random(seed), span=1.0)
+        for order in ("forward", "reversed"):
+            series = analysis.converge_restricted(u, rho=0.1, n_max=n_max,
+                                                  order=order)
+            yield (f"step1d series seed {seed} rho 0.1 n_max {n_max} "
+                   f"{order}", series.dumps(), False)
     for seed in SEEDS:
         v = generators.random_lattice_function(random.Random(seed))
         for p in (1.0, 2.0):
