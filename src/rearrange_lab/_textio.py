@@ -43,9 +43,10 @@ def read_text(path) -> str:
         return fh.read()
 
 
-def write_text(path, text: str) -> None:
+def write_text(path, parts) -> None:
+    """Write the strings of parts to path, in turn."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 _MAGNITUDE = np.int64(2**63 - 1)   # every bit of a double but its sign

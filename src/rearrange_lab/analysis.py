@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import Halfspace, Schedule
-from .series import (ConvergenceSeries, _triangular_scheme, _upcoming,
-                     check_scheme_parameters, finite, fsum, fsums,
-                     record)
+from .series import (ConvergenceSeries, _entry, _indices,
+                     _triangular_scheme, _upcoming, check_scheme_parameters,
+                     finite, fsum, fsums, record)
 from .step1d import (
     StepFunction,
     _abs_diffs,
@@ -170,6 +170,13 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     again: from a state equal to it, the driver asks only about the rest
     of the outer step under way, and _first_mover scans nothing past it.
 
+    The driver asks once per state what changes it next.  The answer
+    lists the schedule indices still to be tried as _upcoming's segments,
+    a few index ranges, and makes them one index array (series._indices);
+    _first_mover decides them in kernel chunks and returns the offset of
+    the first that moves the state, which series._entry reads back as
+    the outer step and position.
+
     The driver asks for the rows of the new states in blocks.  A block's
     inputs take a few numpy calls each, over all its states at once
     (step1d._stack): the weighted masses, the L^p norms grouped by value
@@ -189,8 +196,9 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     if weight is None:
         weight = RadialWeight.triangular(16.0)
     # The schedule as columns, with no Halfspace built: _first_mover finds
-    # each new state among _upcoming's entries.  No boundary point mirrors
-    # a breakpoint beyond the float range (_first_mover's precondition).
+    # each new state among the indices _upcoming lists.  No boundary point
+    # mirrors a breakpoint beyond the float range (_first_mover's
+    # precondition).
     nu, d = schedule._columns(n_max)
     c = nu * d
     reverse = order == "reversed"
@@ -221,8 +229,12 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
             before = mass
 
     def next_change(state, n, q, last):
-        return _first_mover(state, _upcoming(n, q, last, n_max, reverse),
-                            nu, c)
+        segments = _upcoming(n, q, last, n_max, reverse)
+        answer = _first_mover(state, _indices(segments), nu, c)
+        if answer is None:
+            return None
+        m, q, _ = _entry(segments, answer[0])
+        return m, q, answer[1]
 
     return _triangular_scheme(u, n_max, next_change, rows, target=target,
                               start_alone=_start_may_fail(u, p, weight))

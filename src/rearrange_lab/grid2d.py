@@ -409,7 +409,7 @@ def loads(text: str) -> GridFunction:
 
 
 def write_csv(u: GridFunction, path) -> None:
-    _textio.write_text(path, dumps(u))
+    _textio.write_text(path, [dumps(u)])
 
 
 def read_csv(path) -> GridFunction:

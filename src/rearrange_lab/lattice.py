@@ -251,7 +251,7 @@ def loads(text: str) -> LatticeFunction:
 
 
 def write_csv(u: LatticeFunction, path) -> None:
-    _textio.write_text(path, dumps(u))
+    _textio.write_text(path, [dumps(u)])
 
 
 def read_csv(path) -> LatticeFunction:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, count
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class ConvergenceRecord:
 
 
 CSV_HEADER = "n,lp_error,weighted_mass,sup_error,deviation_measure"
+
+# Lines of one row's run that write_csv writes at once; bounds the text it
+# holds, whatever the run's length.
+_LINES = 1 << 14
 
 
 class ConvergenceSeries:
@@ -121,19 +125,27 @@ class ConvergenceSeries:
         return f"ConvergenceSeries(records={self.records!r})"
 
     def dumps(self) -> str:
-        """The CSV text: each row's four floats are formatted once, and
-        each record of its run gets its own n before them."""
-        columns = zip(*[row._fields() for row in self.rows])
-        texts = zip(*[_textio._texts(float, column) for column in columns])
-        lines = [CSV_HEADER]
-        for row, end, fields in zip(self.rows, self.ends, texts):
-            tail = "," + ",".join(fields)
-            lines.append((tail + "\n").join(map(str, range(row.n, end)))
-                         + tail)
-        return "\n".join(lines) + "\n"
+        """The CSV text: the blocks of write_csv, joined."""
+        return "".join(self._blocks())
 
     def write_csv(self, path) -> None:
-        _textio.write_text(path, self.dumps())
+        """Write the CSV text to path a block at a time: each row's run
+        of lines in blocks of at most _LINES values of n, so a long run is
+        never held as one string."""
+        _textio.write_text(path, self._blocks())
+
+    def _blocks(self):
+        """The CSV text in blocks of whole lines: the header, then each
+        row's run.  A row's four floats are formatted once, and each
+        record of its run gets its own n before them."""
+        columns = zip(*[row._fields() for row in self.rows])
+        texts = zip(*[_textio._texts(float, column) for column in columns])
+        yield CSV_HEADER + "\n"
+        for row, end, fields in zip(self.rows, self.ends, texts):
+            tail = "," + ",".join(fields) + "\n"
+            for start in range(row.n, end, _LINES):
+                yield tail.join(map(str, range(start, min(start + _LINES,
+                                                          end)))) + tail
 
     @classmethod
     def loads(cls, text: str) -> "ConvergenceSeries":
@@ -313,12 +325,12 @@ def _triangular_scheme(start, n_max, next_change, rows, target=None,
 
 def _first_change(steps, apply):
     """The next_change of a scheme whose outer step n applies steps[k %
-    len(steps)] for k = 0 .. n-1: apply(state, step) on each of
-    _upcoming's entries in turn, up to the first that returns a new state
-    or raises.  apply must return its input object when it changes
-    nothing, and repeat that answer for the same state and step."""
+    len(steps)] for k = 0 .. n-1: apply(state, step) on each entry of
+    _upcoming's listing in turn (_entries), up to the first that returns a
+    new state or raises.  apply must return its input object when it
+    changes nothing, and repeat that answer for the same state and step."""
     def next_change(state, n, q, last):
-        for m, q, k in _upcoming(n, q, last, len(steps), False):
+        for m, q, k in _entries(_upcoming(n, q, last, len(steps), False)):
             try:
                 out = apply(state, steps[k])
             except Exception as exc:
@@ -330,21 +342,74 @@ def _first_change(steps, apply):
 
 
 def _upcoming(n, q, last, size, reverse):
-    """(outer step, position, index) of the applications the naive loop
-    makes from position q of outer step n through outer step last, while
-    the state stays the same.  Each index is listed at its first
-    appearance only: a repeat on the same state gives the same no-op.
-    That is the rest of step n, all of step n + 1, and then the one new
-    index m - 1 of each later step m up to size: step m - 1 applied every
-    index below m - 1."""
-    seen = set()
-    for m in range(n, min(n + 1, last) + 1):
-        first = q if m == n else 0
-        # a position size or more after the first repeats an index
-        for pos in range(first, min(m, first + size)):
-            k = (m - 1 - pos if reverse else pos) % size
-            if k not in seen:
-                seen.add(k)
-                yield m, pos, k
-    for m in range(n + 2, min(last, size) + 1):
-        yield m, 0 if reverse else m - 1, m - 1
+    """The applications (outer step, position, index) the naive loop makes
+    from position q of outer step n through outer step last >= n, while
+    the state stays the same, each index at its first appearance only: a
+    repeat on the same state gives the same no-op.  Outer step m applies
+    index pos % size at position pos, or (m - 1 - pos) % size reversed.
+
+    The listing comes as a tuple of segments (m, pos, dm, dpos, ks): entry
+    i of a segment is (m + i*dm, pos + i*dpos, ks[i]), ks a range.  They
+    are the rest of step n, up to the first repeated index; the positions
+    of step n + 1 whose index step n did not list, one or two ranges; and
+    the tail, a range of outer steps: each later step m up to size lists
+    its one new index m - 1, at position m - 1, or 0 reversed, since step
+    m - 1 applied every index below m - 1.  A step's positions are split
+    where the index wraps past size, so that each ks is a range."""
+    count = min(n - q, size)   # a position size or more after q repeats
+    segments = _positions(n, q, q + count, size, reverse)
+    if n < last and count < size:
+        # the positions of step n + 1 whose index step n listed are the
+        # run of count positions from t, taken cyclically mod size
+        t = (q + 1 if reverse else q) % size
+        top = min(n + 1, size)
+        if t + count <= size:
+            new = [(0, min(t, top)), (t + count, top)]
+        else:
+            new = [(t + count - size, t)]
+        for start, stop in new:
+            segments += _positions(n + 1, start, stop, size, reverse)
+    if n + 2 <= min(last, size):
+        segments.append((n + 2, 0 if reverse else n + 1, 1,
+                         0 if reverse else 1, range(n + 1, min(last, size))))
+    return tuple(segments)
+
+
+def _positions(m, start, stop, size, reverse) -> list:
+    """The segments of positions start .. stop-1 of outer step m, split
+    where the index wraps past size."""
+    segments = []
+    while start < stop:
+        k = ((m - 1 - start) if reverse else start) % size
+        end = min(stop, start + (k + 1 if reverse else size - k))
+        segments.append((m, start, 0, 1,
+                         range(k, k - (end - start), -1) if reverse
+                         else range(k, k + end - start)))
+        start = end
+    return segments
+
+
+def _entries(segments):
+    """The entries (outer step, position, index) of _upcoming's segments,
+    in order."""
+    return chain.from_iterable(
+        zip(count(m, dm), count(pos, dpos), ks)
+        for m, pos, dm, dpos, ks in segments)
+
+
+def _entry(segments, offset):
+    """Entry offset of _upcoming's segments, counted from 0, as
+    (outer step, position, index)."""
+    for m, pos, dm, dpos, ks in segments:
+        if offset < len(ks):
+            return m + offset * dm, pos + offset * dpos, ks[offset]
+        offset -= len(ks)
+    raise IndexError("offset past the end of the listing")
+
+
+def _indices(segments) -> np.ndarray:
+    """The indices of _upcoming's segments, in order, as one array."""
+    if not segments:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate([np.arange(ks.start, ks.stop, ks.step)
+                           for *_, ks in segments])

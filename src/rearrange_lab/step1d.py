@@ -12,7 +12,6 @@ All functions here are pure and StepFunction values are immutable.
 from __future__ import annotations
 
 import math
-from itertools import islice
 
 import numpy as np
 
@@ -59,10 +58,11 @@ class StepFunction:
     @classmethod
     def _from_canonical(cls, breakpoints, values) -> "StepFunction":
         """Fast path for data already in canonical form (no equal neighbours,
-        no zero end pieces, strictly increasing breakpoints)."""
+        no zero end pieces, strictly increasing breakpoints).  Float arrays
+        are taken over, not copied, and made read-only: pass fresh ones."""
         out = cls.__new__(cls)
-        b = np.array(breakpoints, dtype=float)
-        v = np.array(values, dtype=float)
+        b = np.asarray(breakpoints, dtype=float)
+        v = np.asarray(values, dtype=float)
         b.setflags(write=False)
         v.setflags(write=False)
         out.breakpoints = b
@@ -216,7 +216,7 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
         return u
     nu = h.normal[0]
     c = nu * h.offset   # boundary point of h; sigma(x) = 2c - x
-    b0, b1 = u.breakpoints[[0, -1]].tolist()
+    b0, b1 = float(u.breakpoints[0]), float(u.breakpoints[-1])
     if _escapes(b0, b1, c):
         # Some mirror image is beyond the float range.  If the support lies
         # in h nothing moves; otherwise the result is not representable.
@@ -226,7 +226,7 @@ def polarize(u: StepFunction, h: Halfspace) -> StepFunction:
                          f"{h.encode()} is beyond the float range")
     grid, a, r = _mirrored_cells(u.breakpoints, _padded(u), c)
     signs = _sides(u.breakpoints.size, nu)
-    if not _moving(grid, a, r, signs).any():
+    if not np.count_nonzero(_moving(grid, a, r, signs)):
         return u
     return _assemble(grid, _polarized(a, r, signs))
 
@@ -245,45 +245,46 @@ def _assemble(grid: np.ndarray, val: np.ndarray) -> StepFunction:
 _PASS_CELLS = 1 << 12
 
 
-def _first_mover(u: StepFunction, entries, nu: np.ndarray, c: np.ndarray):
-    """(outer step, position, polarize(u, h)) of the first entry (outer
-    step, position, index) of entries whose halfspace h moves u, or None
-    when none does.  An entry's index is h's row in the columns nu (the
-    signs) and c (the boundary points): h = {x : nu*x <= nu*c}.
+def _first_mover(u: StepFunction, ks: np.ndarray, nu: np.ndarray,
+                 c: np.ndarray):
+    """(offset, polarize(u, h)) of the first index ks[offset] whose
+    halfspace h moves u, or None when none does.  An index is h's row in
+    the columns nu (the signs) and c (the boundary points): h = {x : nu*x
+    <= nu*c}.
 
-    Precondition: 2c - b is finite for every boundary point c of entries
-    and every breakpoint b of u.  For every double b it is where |c| <
+    Precondition: 2c - b is finite for every boundary point c of ks and
+    every breakpoint b of u.  For every double b it is where |c| <
     2**969, and a schedule's boundary points meet that whatever u: those
     of the first count entries of Schedule(1, rho) have |c| <= min(rho,
     count/2 + 1), far below 2**969 for any count a column can hold.
 
-    Decides chunks of entries that double from eight, one numpy pass each
-    over the cells of polarize's kernel, _mirrored_cells: a halfspace
-    moves u when some cell moves (_moving, polarize's rule), with the
-    signs side * nu and side = _sides(len(b), 1), built once per state.
-    The polarized values of the first moving row are computed, and the
-    new state assembled, only for the entry returned; the state is
-    polarize's.  A chunk holds at most _PASS_CELLS // len(breakpoints)
-    halfspaces, and at least one."""
+    Decides chunks ks[i:i + width], width doubling from eight, one numpy
+    pass each over the cells of polarize's kernel, _mirrored_cells: a
+    halfspace moves u when some cell moves (_moving, polarize's rule),
+    with the signs side * nu and side = _sides(len(b), 1), built once per
+    state.  One flat argmax over a chunk's moving cells finds its first
+    moving row.  The polarized values of that row are computed, and the
+    new state assembled, only for the answer; the state is polarize's.  A
+    chunk holds at most _PASS_CELLS // len(breakpoints) halfspaces, and
+    at least one."""
     if u.is_zero:
         return None
     b = u.breakpoints
     padded = _padded(u)
     side = _sides(b.size, 1.0)
     cap = max(1, _PASS_CELLS // b.size)
-    size = min(8, cap)
-    entries = iter(entries)
-    while chunk := list(islice(entries, size)):
-        ks = [k for _, _, k in chunk]
-        grid, a, r = _mirrored_cells(b, padded, c[ks][:, None])
-        signs = side * nu[ks][:, None]
-        moves = _moving(grid, a, r, signs).any(axis=1)
-        if moves.any():
-            i = int(moves.argmax())
-            m, q, _ = chunk[i]
-            return m, q, _assemble(grid[i],
-                                   _polarized(a[i], r[i], signs[i]))
-        size = min(2 * size, cap)
+    start, width = 0, min(8, cap)
+    while start < len(ks):
+        chunk = ks[start:start + width]
+        grid, a, r = _mirrored_cells(b, padded, c[chunk][:, None])
+        signs = side * nu[chunk][:, None]
+        moving = _moving(grid, a, r, signs)
+        i, j = divmod(int(moving.argmax()), moving.shape[1])
+        if moving[i, j]:
+            return start + i, _assemble(grid[i],
+                                        _polarized(a[i], r[i], signs[i]))
+        start += width
+        width = min(2 * width, cap)
     return None
 
 
@@ -518,7 +519,7 @@ def loads(text: str) -> StepFunction:
 
 
 def write_csv(u: StepFunction, path) -> None:
-    _textio.write_text(path, dumps(u))
+    _textio.write_text(path, [dumps(u)])
 
 
 def read_csv(path) -> StepFunction:

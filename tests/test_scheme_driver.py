@@ -50,7 +50,10 @@ from rearrange_lab.lattice import (
 from rearrange_lab.series import (
     ConvergenceRecord,
     ConvergenceSeries,
+    _entries,
+    _entry,
     _first_change,
+    _indices,
     _triangular_scheme,
     _upcoming,
 )
@@ -368,7 +371,8 @@ def first_changes(steps, reverse=False):
     (test_step1d.first_change)."""
     def next_change(state, n, q, last):
         return first_change(
-            state, _upcoming(n, q, last, len(steps), reverse), steps)
+            state, _entries(_upcoming(n, q, last, len(steps), reverse)),
+            steps)
     return next_change
 
 
@@ -380,7 +384,7 @@ def applying(steps, apply, reverse):
         return _first_change(steps, apply)
 
     def next_change(state, n, q, last):
-        for m, q, k in _upcoming(n, q, last, len(steps), True):
+        for m, q, k in _entries(_upcoming(n, q, last, len(steps), True)):
             try:
                 out = apply(state, steps[k])
             except Exception as exc:
@@ -550,14 +554,23 @@ def listings(draw):
 @settings(max_examples=300, deadline=None)
 @given(listings())
 def test_upcoming_lists_the_first_appearances(args):
-    assert list(_upcoming(*args)) == naive_listing(*args)
+    assert list(_entries(_upcoming(*args))) == naive_listing(*args)
 
 
-def logged_entries(entries, log):
-    """entries, logging each one as it is taken."""
-    for entry in entries:
-        log.append(entry)
-        yield entry
+@settings(max_examples=300, deadline=None)
+@given(listings())
+def test_offsets_map_to_the_naive_listing(args):
+    """converge_scheme's next_change gives _first_mover the indices of
+    _upcoming's segments as one array (_indices) and reads its answer, an
+    offset into that array, as the entry _entry(segments, offset): at
+    every offset that is the naive listing's (outer step, position,
+    index)."""
+    segments = _upcoming(*args)
+    want = naive_listing(*args)
+    assert _indices(segments).tolist() == [k for *_, k in want]
+    assert [_entry(segments, offset) for offset in range(len(want))] == want
+    with pytest.raises(IndexError):
+        _entry(segments, len(want))
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
@@ -570,13 +583,18 @@ def test_movers_get_nothing_past_the_step_that_ends_on_target(monkeypatch,
     u = StepFunction.indicator(1, 2)
     target = rearrange(u)
     listed = []   # the entries listed from u*, one list per listing
+    segments = []   # each listing, as _upcoming's segments
 
-    def listing(state, entries, *schedule):
+    def upcoming(*args):
+        segments.append(_upcoming(*args))
+        return segments[-1]
+
+    def listing(state, ks, *schedule):
         if state == target:
-            listed.append([])
-            entries = logged_entries(entries, listed[-1])
-        return _first_mover(state, entries, *schedule)
+            listed.append(list(_entries(segments[-1])))
+        return _first_mover(state, ks, *schedule)
 
+    monkeypatch.setattr(analysis, "_upcoming", upcoming)
     monkeypatch.setattr(analysis, "_first_mover", listing)
     got = converge_scheme(u, n_max=10**4, order=order)
     reached = next(r.n for r in got.rows if r.lp_error == 0)
@@ -599,9 +617,9 @@ def test_polarize_runs_once_per_state_change(monkeypatch):
         assembled.append(assemble(grid, val))
         return assembled[-1]
 
-    def asking(state, entries, *schedule):
+    def asking(state, ks, *schedule):
         asked.append(state)
-        return _first_mover(state, entries, *schedule)
+        return _first_mover(state, ks, *schedule)
 
     def counting_polarize(state, h):
         calls.append(h)
@@ -681,12 +699,12 @@ def _shift_right(state):
     return StepFunction(state.breakpoints + 4.0, state.values)
 
 
-def _shifting_first_mover(state, entries, *schedule):
+def _shifting_first_mover(state, ks, *schedule):
     """_first_mover, with _shift_right(state) as the state of its answer:
     the look-ahead pass is where the 1-D scheme takes its new states
     from."""
-    answer = _first_mover(state, entries, *schedule)
-    return answer and (*answer[:2], _shift_right(state))
+    answer = _first_mover(state, ks, *schedule)
+    return answer and (answer[0], _shift_right(state))
 
 
 def test_mass_decrease_raises(monkeypatch):
@@ -706,25 +724,37 @@ def test_cli_converge_exits_4_on_invariant_violation(monkeypatch, tmp_path):
 
 
 def walking(states):
-    """A hook fit for _first_mover's place that ends each next outer step
-    on a fresh copy of the next of states, or raises there the next of
-    states that is an exception: from each state it answers with the
-    first entry of a later outer step than the last one it answered with,
-    and None once states run out."""
+    """A next_change that ends each next outer step on a fresh copy of the
+    next of states, or raises there the next of states that is an
+    exception: from each state it answers with the first entry of
+    _upcoming's listing of a later outer step than the last one it
+    answered with, and None once states run out.  Listed with last steps,
+    the listing is the one with n_max steps: it reaches no step past
+    last."""
     rest = iter(states)
-    last = 0
+    last_step = 0
 
-    def first_mover(state, entries, *columns):
-        nonlocal last
-        for m, q, _ in entries:
-            if m > last:
-                last = m
+    def next_change(state, n, q, last):
+        nonlocal last_step
+        for m, q, _ in _entries(_upcoming(n, q, last, last, False)):
+            if m > last_step:
+                last_step = m
                 for u in itertools.islice(rest, 1):
                     return m, q, u if isinstance(u, Exception) else (
                         StepFunction._from_canonical(u.breakpoints, u.values))
                 return None
         return None
-    return first_mover
+    return next_change
+
+
+def driving(monkeypatch, next_change):
+    """Make converge_scheme's driver ask next_change in place of the
+    scheme's own."""
+    drive = series._triangular_scheme
+    monkeypatch.setattr(
+        analysis, "_triangular_scheme",
+        lambda start, n_max, _, *args, **kwargs: drive(
+            start, n_max, next_change, *args, **kwargs))
 
 
 def _escape_error():
@@ -741,8 +771,7 @@ def test_violation_before_a_later_polarization_error_is_exit_4(
     out = tmp_path / "series.csv"
     u = StepFunction.indicator(0, 1)
     step1d.write_csv(u, src)
-    monkeypatch.setattr(analysis, "_first_mover",
-                        walking([_shift_right(u), _escape_error()]))
+    driving(monkeypatch, walking([_shift_right(u), _escape_error()]))
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5"]) == 4
     assert capsys.readouterr().err == (
@@ -767,8 +796,7 @@ def test_overflow_before_a_later_violation_is_exit_2(
     out = tmp_path / "series.csv"
     src.write_text(f"breakpoint,value\n{start}\n")
     states = [first] if first else []
-    monkeypatch.setattr(analysis, "_first_mover",
-                        walking([*states, StepFunction.zero()]))
+    driving(monkeypatch, walking([*states, StepFunction.zero()]))
     assert main(["converge", "--input", str(src), "--output", str(out),
                  "--n-max", "5", *args]) == 2
     assert capsys.readouterr().err == (
@@ -923,9 +951,8 @@ def test_block_rows_match_the_per_state_functions(states, p, weight, eps,
     walk = walking(states[1:])
     with mock.patch.object(series, "_BLOCK", block), \
             np.errstate(all="ignore"):
-        got = _hex_rows(lambda: _triangular_scheme(
-            states[0], n_max, lambda state, *position: walk(
-                state, _upcoming(*position, n_max, False)), rows))
+        got = _hex_rows(lambda: _triangular_scheme(states[0], n_max, walk,
+                                                   rows))
         want = _hex_rows(lambda: per_state_rows(states, **kwargs))
     assert got == want
 

@@ -7,11 +7,14 @@ of its run's row with its own n.
 """
 
 import dataclasses
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rearrange_lab import _textio
+from rearrange_lab import _textio, series as series_module
 from rearrange_lab.series import (CSV_HEADER, ConvergenceRecord,
                                   ConvergenceSeries)
 
@@ -91,3 +94,21 @@ def test_a_run_past_the_int64_range():
     assert len(series) == 4
     assert series.final == dataclasses.replace(row, n=2**63 + 1)
     assert series.dumps().splitlines()[-1] == f"{2**63 + 1},0.5,1,0,0.25"
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=runs(), lines=st.integers(1, 4))
+def test_written_in_blocks_of_bounded_lines(drawn, lines):
+    """write_csv writes a run's lines at most _LINES at a time, and the
+    file holds dumps' bytes, the table writer's."""
+    series = ConvergenceSeries._runs(*drawn)
+    want = reference_dumps(expanded(*drawn))
+    with mock.patch.object(series_module, "_LINES", lines), \
+            tempfile.TemporaryDirectory() as tmp:
+        blocks = list(series._blocks())
+        path = Path(tmp, "series.csv")
+        series.write_csv(path)
+        assert path.read_bytes() == want.encode()
+        assert series.dumps() == want
+    assert blocks[0] == CSV_HEADER + "\n"
+    assert all(0 < block.count("\n") <= lines for block in blocks[1:])

@@ -191,16 +191,19 @@ def first_change(u, entries, halfspaces):
     """The answer (outer step, position, outcome) of the first of entries
     (outer step, position, index into halfspaces) whose halfspace changes
     u, or raises, in order; None for none.  _first_mover decides each run
-    of entries within its precondition, and polarize, through
-    series._first_change, each entry whose halfspace mirrors u's support
-    beyond the float range (escapes), where it returns u or raises."""
+    of entries within its precondition, given the run's indices as an
+    array, and polarize, through series._first_change, each entry whose
+    halfspace mirrors u's support beyond the float range (escapes), where
+    it returns u or raises."""
     nu, c = columns(halfspaces)
     for escaping, run in itertools.groupby(
             entries, lambda entry: escapes(u, halfspaces[entry[2]])):
         if not escaping:
-            answer = _first_mover(u, run, nu, c)
+            run = list(run)
+            answer = _first_mover(
+                u, np.array([k for *_, k in run], dtype=np.intp), nu, c)
             if answer is not None:
-                return answer
+                return (*run[answer[0]][:2], answer[1])
             continue
         for m, q, k in run:
             answer = series._first_change([halfspaces[k]], polarize)(
@@ -429,6 +432,30 @@ class TestFirstMover:
         assert (first_mover(u, halfspaces)
                 == scalar_first_mover(u, halfspaces) == 3)
         assert movers(u, halfspaces) == scalar_movers(u, halfspaces) == []
+
+
+def test_new_states_own_read_only_arrays():
+    """polarize, _first_mover and rearrange take over the arrays they
+    build, with no copy: each new state's are read-only and share no
+    memory with the input's.  The public constructor copies its caller's
+    arrays, so changing them leaves the function as it was."""
+    u = generators.random_step_function(random.Random(11), span=1.0)
+    halfspaces = Schedule(1, rho=0.1).first(200)
+    moved = [out for h in halfspaces if (out := polarize(u, h)) is not u]
+    answer = _first_mover(u, np.arange(len(halfspaces)),
+                          *columns(halfspaces))
+    assert moved and answer is not None
+    for state in [*moved, answer[1], rearrange(u)]:
+        for mine, theirs in ((state.breakpoints, u.breakpoints),
+                             (state.values, u.values)):
+            assert not mine.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+    b, v = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0])
+    w = StepFunction(b, v)
+    b[0], v[0] = -5.0, 7.0
+    assert w.breakpoints.tolist() == [0.0, 1.0, 2.0]
+    assert w.values.tolist() == [1.0, 2.0]
+    assert not np.shares_memory(w.breakpoints, b)
 
 
 # The lookup loop polarize ran before the mirrored-grid kernel, verbatim:
