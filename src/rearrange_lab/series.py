@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,8 +48,8 @@ class ConvergenceRecord:
 
 CSV_HEADER = "n,lp_error,weighted_mass,sup_error,deviation_measure"
 
-# Lines of one row's run that write_csv writes at once; bounds the text it
-# holds, whatever the run's length.
+# Lines per block of the CSV text that write_csv writes at once; bounds the
+# text it holds, whatever the run's length.
 _LINES = 1 << 14
 
 
@@ -129,23 +129,30 @@ class ConvergenceSeries:
         return "".join(self._blocks())
 
     def write_csv(self, path) -> None:
-        """Write the CSV text to path a block at a time: each row's run
-        of lines in blocks of at most _LINES values of n, so a long run is
-        never held as one string."""
+        """Write the CSV text to path a block at a time, so that a long
+        run is never held as one string."""
         _textio.write_text(path, self._blocks())
 
     def _blocks(self):
-        """The CSV text in blocks of whole lines: the header, then each
-        row's run.  A row's four floats are formatted once, and each
-        record of its run gets its own n before them."""
+        """The CSV text in blocks of whole lines: a block ends once it
+        holds _LINES lines, the header aside, and a run adds at most
+        _LINES at a time, so no block holds 2 * _LINES.  A row's four
+        floats are formatted once, and each record of its run gets its
+        own n before them."""
         columns = zip(*[row._fields() for row in self.rows])
         texts = zip(*[_textio._texts(float, column) for column in columns])
-        yield CSV_HEADER + "\n"
+        block, lines = [CSV_HEADER + "\n"], 0
         for row, end, fields in zip(self.rows, self.ends, texts):
             tail = "," + ",".join(fields) + "\n"
             for start in range(row.n, end, _LINES):
-                yield tail.join(map(str, range(start, min(start + _LINES,
-                                                          end)))) + tail
+                stop = min(start + _LINES, end)
+                block.append(tail.join(map(str, range(start, stop))) + tail)
+                lines += stop - start
+                if lines >= _LINES:
+                    yield "".join(block)
+                    block, lines = [], 0
+        if block:
+            yield "".join(block)
 
     @classmethod
     def loads(cls, text: str) -> "ConvergenceSeries":
@@ -326,17 +333,18 @@ def _triangular_scheme(start, n_max, next_change, rows, target=None,
 def _first_change(steps, apply):
     """The next_change of a scheme whose outer step n applies steps[k %
     len(steps)] for k = 0 .. n-1: apply(state, step) on each entry of
-    _upcoming's listing in turn (_entries), up to the first that returns a
-    new state or raises.  apply must return its input object when it
+    _upcoming's listing in turn, up to the first that returns a new state
+    or raises.  apply must return its input object when it
     changes nothing, and repeat that answer for the same state and step."""
     def next_change(state, n, q, last):
-        for m, q, k in _entries(_upcoming(n, q, last, len(steps), False)):
-            try:
-                out = apply(state, steps[k])
-            except Exception as exc:
-                return m, q, exc
-            if out is not state:
-                return m, q, out
+        for m, pos, dm, dpos, ks in _upcoming(n, q, last, len(steps), False):
+            for i, k in enumerate(ks):
+                try:
+                    out = apply(state, steps[k])
+                except Exception as exc:
+                    return m + i * dm, pos + i * dpos, exc
+                if out is not state:
+                    return m + i * dm, pos + i * dpos, out
         return None
     return next_change
 
@@ -348,53 +356,58 @@ def _upcoming(n, q, last, size, reverse):
     repeat on the same state gives the same no-op.  Outer step m applies
     index pos % size at position pos, or (m - 1 - pos) % size reversed.
 
-    The listing comes as a tuple of segments (m, pos, dm, dpos, ks): entry
-    i of a segment is (m + i*dm, pos + i*dpos, ks[i]), ks a range.  They
-    are the rest of step n, up to the first repeated index; the positions
-    of step n + 1 whose index step n did not list, one or two ranges; and
-    the tail, a range of outer steps: each later step m up to size lists
-    its one new index m - 1, at position m - 1, or 0 reversed, since step
-    m - 1 applied every index below m - 1.  A step's positions are split
-    where the index wraps past size, so that each ks is a range."""
-    count = min(n - q, size)   # a position size or more after q repeats
-    segments = _positions(n, q, q + count, size, reverse)
-    if n < last and count < size:
-        # the positions of step n + 1 whose index step n listed are the
-        # run of count positions from t, taken cyclically mod size
-        t = (q + 1 if reverse else q) % size
-        top = min(n + 1, size)
-        if t + count <= size:
-            new = [(0, min(t, top)), (t + count, top)]
-        else:
-            new = [(t + count - size, t)]
-        for start, stop in new:
-            segments += _positions(n + 1, start, stop, size, reverse)
-    if n + 2 <= min(last, size):
+    The listing comes as a short tuple of segments (m, pos, dm, dpos, ks),
+    some possibly empty: entry i of a segment is (m + i*dm, pos + i*dpos,
+    ks[i]), ks a range.  Where no listed position wraps past size, they
+    are the rest of step n, q..n-1; the positions of step n + 1 whose
+    index step n did not list, 0..q-1 and n (0..q reversed); and the
+    tail, a range of outer steps: each later step m up to size lists its
+    one new index m - 1, at position m - 1, or 0 reversed, since step
+    m - 1 applied every index below m - 1.  Where one wraps, _wrapped
+    lists steps n and n + 1."""
+    if min(n + 1, last) > size:
+        return _wrapped(n, q, last, size, reverse)
+    if reverse:
+        segments = [(n, q, 0, 1, range(n - 1 - q, -1, -1))]
+        if n < last:
+            segments.append((n + 1, 0, 0, 1, range(n, n - q - 1, -1)))
+    else:
+        segments = [(n, q, 0, 1, range(q, n))]
+        if n < last:
+            segments += (n + 1, 0, 0, 1, range(q)), (n + 1, n, 0, 1,
+                                                     range(n, n + 1))
+    top = min(last, size)
+    if n + 2 <= top:
         segments.append((n + 2, 0 if reverse else n + 1, 1,
-                         0 if reverse else 1, range(n + 1, min(last, size))))
+                         0 if reverse else 1, range(n + 1, top)))
     return tuple(segments)
 
 
-def _positions(m, start, stop, size, reverse) -> list:
-    """The segments of positions start .. stop-1 of outer step m, split
-    where the index wraps past size."""
+def _wrapped(n, q, last, size, reverse):
+    """_upcoming's segments where a position of step n or n + 1 wraps
+    past size, so that no later step lists a new index.  Each index of
+    size consecutive positions is new; a segment ends where its index
+    wraps, so that each ks is a range."""
+    count = min(n - q, size)   # a position size or more after q repeats
+    runs = [(n, q, q + count)]   # (outer step, first position, end)
+    if n < last and count < size:
+        # the positions of step n + 1 (0..size-1) whose index step n
+        # listed are the run of count positions from t, cyclically
+        t = (q + 1 if reverse else q) % size
+        if t + count <= size:
+            runs += (n + 1, 0, t), (n + 1, t + count, size)
+        else:
+            runs.append((n + 1, t + count - size, t))
     segments = []
-    while start < stop:
-        k = ((m - 1 - start) if reverse else start) % size
-        end = min(stop, start + (k + 1 if reverse else size - k))
-        segments.append((m, start, 0, 1,
-                         range(k, k - (end - start), -1) if reverse
-                         else range(k, k + end - start)))
-        start = end
-    return segments
-
-
-def _entries(segments):
-    """The entries (outer step, position, index) of _upcoming's segments,
-    in order."""
-    return chain.from_iterable(
-        zip(count(m, dm), count(pos, dpos), ks)
-        for m, pos, dm, dpos, ks in segments)
+    for m, start, stop in runs:
+        while start < stop:
+            k = ((m - 1 - start) if reverse else start) % size
+            end = min(stop, start + (k + 1 if reverse else size - k))
+            segments.append((m, start, 0, 1,
+                             range(k, k - (end - start), -1) if reverse
+                             else range(k, k + end - start)))
+            start = end
+    return tuple(segments)
 
 
 def _entry(segments, offset):
@@ -412,4 +425,4 @@ def _indices(segments) -> np.ndarray:
     if not segments:
         return np.empty(0, dtype=np.intp)
     return np.concatenate([np.arange(ks.start, ks.stop, ks.step)
-                           for *_, ks in segments])
+                           for _, _, _, _, ks in segments])

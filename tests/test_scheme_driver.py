@@ -50,7 +50,6 @@ from rearrange_lab.lattice import (
 from rearrange_lab.series import (
     ConvergenceRecord,
     ConvergenceSeries,
-    _entries,
     _entry,
     _first_change,
     _indices,
@@ -364,6 +363,13 @@ def naive_scheme(start, steps, n_max, apply, record, target=None,
     return ConvergenceSeries(tuple(records))
 
 
+def entries(segments):
+    """The entries (outer step, position, index) of _upcoming's segments,
+    in order."""
+    return [(m + i * dm, pos + i * dpos, k)
+            for m, pos, dm, dpos, ks in segments for i, k in enumerate(ks)]
+
+
 def first_changes(steps, reverse=False):
     """converge_scheme's next_change over the halfspaces steps:
     _first_mover on _upcoming's listing, with polarize deciding each step
@@ -371,7 +377,7 @@ def first_changes(steps, reverse=False):
     (test_step1d.first_change)."""
     def next_change(state, n, q, last):
         return first_change(
-            state, _entries(_upcoming(n, q, last, len(steps), reverse)),
+            state, entries(_upcoming(n, q, last, len(steps), reverse)),
             steps)
     return next_change
 
@@ -384,7 +390,7 @@ def applying(steps, apply, reverse):
         return _first_change(steps, apply)
 
     def next_change(state, n, q, last):
-        for m, q, k in _entries(_upcoming(n, q, last, len(steps), True)):
+        for m, q, k in entries(_upcoming(n, q, last, len(steps), True)):
             try:
                 out = apply(state, steps[k])
             except Exception as exc:
@@ -554,7 +560,7 @@ def listings(draw):
 @settings(max_examples=300, deadline=None)
 @given(listings())
 def test_upcoming_lists_the_first_appearances(args):
-    assert list(_entries(_upcoming(*args))) == naive_listing(*args)
+    assert entries(_upcoming(*args)) == naive_listing(*args)
 
 
 @settings(max_examples=300, deadline=None)
@@ -591,7 +597,7 @@ def test_movers_get_nothing_past_the_step_that_ends_on_target(monkeypatch,
 
     def listing(state, ks, *schedule):
         if state == target:
-            listed.append(list(_entries(segments[-1])))
+            listed.append(entries(segments[-1]))
         return _first_mover(state, ks, *schedule)
 
     monkeypatch.setattr(analysis, "_upcoming", upcoming)
@@ -736,7 +742,7 @@ def walking(states):
 
     def next_change(state, n, q, last):
         nonlocal last_step
-        for m, q, _ in _entries(_upcoming(n, q, last, last, False)):
+        for m, q, _ in entries(_upcoming(n, q, last, last, False)):
             if m > last_step:
                 last_step = m
                 for u in itertools.islice(rest, 1):

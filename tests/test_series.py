@@ -99,8 +99,9 @@ def test_a_run_past_the_int64_range():
 @settings(max_examples=200, deadline=None)
 @given(drawn=runs(), lines=st.integers(1, 4))
 def test_written_in_blocks_of_bounded_lines(drawn, lines):
-    """write_csv writes a run's lines at most _LINES at a time, and the
-    file holds dumps' bytes, the table writer's."""
+    """write_csv writes blocks of whole lines, each ended once it holds
+    _LINES lines or more, and the file holds dumps' bytes, the table
+    writer's."""
     series = ConvergenceSeries._runs(*drawn)
     want = reference_dumps(expanded(*drawn))
     with mock.patch.object(series_module, "_LINES", lines), \
@@ -110,5 +111,9 @@ def test_written_in_blocks_of_bounded_lines(drawn, lines):
         series.write_csv(path)
         assert path.read_bytes() == want.encode()
         assert series.dumps() == want
-    assert blocks[0] == CSV_HEADER + "\n"
-    assert all(0 < block.count("\n") <= lines for block in blocks[1:])
+    assert blocks[0].startswith(CSV_HEADER + "\n")
+    counts = [block.count("\n") for block in blocks]
+    counts[0] -= 1   # the header line
+    assert all(block.endswith("\n") for block in blocks)
+    assert all(lines <= k < 2 * lines for k in counts[:-1])
+    assert 0 <= counts[-1] < 2 * lines
