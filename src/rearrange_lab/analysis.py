@@ -170,12 +170,12 @@ def converge_scheme(u: StepFunction, schedule: Schedule | None = None,
     again: from a state equal to it, the driver asks only about the rest
     of the outer step under way, and _first_mover scans nothing past it.
 
-    The driver asks once per state what changes it next.  The answer
-    lists the schedule indices still to be tried as _upcoming's segments,
-    a few index ranges, and makes them one index array (series._indices);
-    _first_mover decides them in kernel chunks and returns the offset of
-    the first that moves the state, which series._entry reads back as
-    the outer step and position.
+    The driver asks once per state what changes it next.  The schedule
+    indices still to be tried are _upcoming's segments, a few index
+    ranges, made into one index array (series._indices); _first_mover
+    decides them in kernel chunks and returns the offset of the first
+    that moves the state, which series._entry reads back as the outer
+    step and position.
 
     The driver asks for the rows of the new states in blocks.  A block's
     inputs take a few numpy calls each, over all its states at once

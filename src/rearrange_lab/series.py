@@ -334,8 +334,8 @@ def _first_change(steps, apply):
     """The next_change of a scheme whose outer step n applies steps[k %
     len(steps)] for k = 0 .. n-1: apply(state, step) on each entry of
     _upcoming's listing in turn, up to the first that returns a new state
-    or raises.  apply must return its input object when it
-    changes nothing, and repeat that answer for the same state and step."""
+    or raises.  apply must return its input object when it changes
+    nothing, and repeat that answer for the same state and step."""
     def next_change(state, n, q, last):
         for m, pos, dm, dpos, ks in _upcoming(n, q, last, len(steps), False):
             for i, k in enumerate(ks):
